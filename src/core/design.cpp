@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/parse.h"
+
 namespace ccnvm::core {
 
 namespace {
@@ -34,6 +36,25 @@ std::string_view design_name(DesignKind kind) {
       return "Phoenix";
   }
   return "?";
+}
+
+std::optional<DesignSpec> parse_design(std::string_view name) {
+  if (name == "wocc") return DesignSpec{DesignKind::kWoCc};
+  if (name == "sc") return DesignSpec{DesignKind::kStrict};
+  if (name == "osiris") return DesignSpec{DesignKind::kOsirisPlus};
+  if (name == "ccnvm-nods") return DesignSpec{DesignKind::kCcNvmNoDs};
+  if (name == "ccnvm") return DesignSpec{DesignKind::kCcNvm};
+  if (name == "ccnvm-plus") return DesignSpec{DesignKind::kCcNvmPlus};
+  if (name == "phoenix") return DesignSpec{DesignKind::kPhoenix};
+  if (name == "triad") return DesignSpec{DesignKind::kTriadNvm};
+  constexpr std::string_view kTriadN = "triad-n";
+  if (name.substr(0, kTriadN.size()) == kTriadN) {
+    const auto level = parse_u64(name.substr(kTriadN.size()));
+    if (!level || *level == 0 || *level > 64) return std::nullopt;
+    return DesignSpec{DesignKind::kTriadNvm,
+                      static_cast<std::uint32_t>(*level)};
+  }
+  return std::nullopt;
 }
 
 namespace {

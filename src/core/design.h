@@ -65,6 +65,18 @@ enum class DesignKind {
 
 std::string_view design_name(DesignKind kind);
 
+/// A design as the command line names it: the kind plus, for Triad-NVM,
+/// the persist frontier (`DesignConfig::persist_level`).
+struct DesignSpec {
+  DesignKind kind = DesignKind::kCcNvm;
+  std::uint32_t persist_level = 1;
+};
+
+/// Parses wocc | sc | osiris | ccnvm-nods | ccnvm | ccnvm-plus | phoenix |
+/// triad | triad-n<K>. "triad" is triad-n1; K must be a plain decimal in
+/// 1..64. Anything else is nullopt.
+std::optional<DesignSpec> parse_design(std::string_view name);
+
 struct DesignConfig {
   std::uint64_t data_capacity = 1ull << 20;
   std::uint64_t key_seed = 0x5eedULL;

@@ -1,7 +1,6 @@
 #include "crashd/crashd.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -10,10 +9,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -21,25 +19,20 @@
 #include "audit/sweep_shape.h"
 #include "common/annotations.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/cc_nvm.h"
 #include "core/tcb.h"
 #include "nvm/file_backend.h"
 #include "service/kv_service.h"
+#include "store/kv_store.h"
 
 namespace ccnvm::crashd {
 namespace {
 
-constexpr std::size_t kKeys = 16;
 constexpr std::size_t kCrashdDaqEntries = 6;
 constexpr std::size_t kCheckpointEvery = 8;
-
-// Service family bounds (derive_service_scenario stays inside these; the
-// sweep's file cleanup relies on the maxima).
-constexpr std::size_t kServiceKeysPerThread = 8;
-constexpr std::size_t kServiceMaxShards = 2;
-constexpr std::size_t kServiceMaxThreads = 4;
 
 /// The paper's crash model has no notion of a process observing its own
 /// death; raise(SIGKILL) matches that — no handlers, no unwinding, no
@@ -49,171 +42,43 @@ constexpr std::size_t kServiceMaxThreads = 4;
   std::abort();  // unreachable: SIGKILL cannot be blocked
 }
 
-enum class OpKind { kPut, kErase, kGet };
+int run_store_worker(const std::string& image_path, const Scenario& sc);
+int run_service_worker(const std::string& image_path, const Scenario& sc);
 
-struct KvOp {
-  OpKind kind = OpKind::kGet;
-  std::string key;
-  std::string value;  // kPut only
+/// One row of the family table: everything that differs between the
+/// scenario families. The worker, the verifier and the sweep are shared
+/// and read only this; a new family is one more row (docs/BACKENDS.md).
+struct FamilyRow {
+  Family family;
+  const char* flag;    // CLI selector; nullptr for the default family
+  const char* prefix;  // describe() prefix
+  /// The family's scenario draws from (sweep_seed, index). Each keeps its
+  /// own draw order forever: that order is what makes (seed, index) name
+  /// the same scenario across commits.
+  Scenario (*derive)(std::uint64_t sweep_seed, std::uint64_t index);
+  std::string (*shape)(const Scenario&);  // describe()'s geometry fields
+  int (*worker)(const std::string& image_path, const Scenario&);
+  // Action streams: keys "<key_prefix>[<client>]-<k>" for k below
+  // keys_per_client; put values under max_value bytes.
+  const char* key_prefix;
+  std::size_t keys_per_client;
+  std::size_t max_value;
+  /// Under the update-limit trigger, 3 of 4 ops hammer key 0.
+  bool hammer_key0;
+  /// 60% of actions are 2-4-op transactions.
+  bool txn_mix;
+  /// Multi-client families name keys, streams and files per client and
+  /// shard ("sv<t>-k", derive_seed(workload_seed, t), image + ".s<s>",
+  /// image + ".ack.t<t>"). The op family's single client uses the bare
+  /// forms ("cd-k", workload_seed, the image itself, image + ".ack").
+  bool per_client_names;
+  /// Per-engine KV geometry. Service engines hold one store shard (the
+  /// service supplies the sharding) sized for the worst case: all 4 x 8
+  /// keys of <=140 bytes routed to one engine, plus heap churn slack. The
+  /// txn journal's 8 op slots cover one prepared txn's staged copies
+  /// (values stay under 100 bytes so those fit beside the live set).
+  store::StoreConfig store;
 };
-
-/// One deterministic operation draw. Worker and verifier both call this
-/// with an identically seeded Rng, so the streams match byte for byte.
-/// The mix mirrors the in-process crash fuzz engine: mostly puts (out-
-/// of-place updates stress the heap/commit path), a hammered key when
-/// the update-limit trigger is under test.
-KvOp generate_op(Rng& rng, core::DrainTrigger trigger,
-                 std::uint64_t& put_tag) {
-  KvOp op;
-  const std::size_t key_index =
-      (trigger == core::DrainTrigger::kUpdateLimit && !rng.chance(0.25))
-          ? 0
-          : static_cast<std::size_t>(rng.below(kKeys));
-  op.key = "cd-" + std::to_string(key_index);
-  const std::uint64_t roll = rng.below(100);
-  if (roll < 55) {
-    op.kind = OpKind::kPut;
-    const std::uint64_t vtag = ++put_tag;
-    op.value.assign(rng.below(140), '\0');
-    for (std::size_t j = 0; j < op.value.size(); ++j) {
-      op.value[j] = static_cast<char>(static_cast<std::uint8_t>(vtag * 167 + j));
-    }
-  } else if (roll < 80) {
-    op.kind = OpKind::kErase;
-  } else {
-    op.kind = OpKind::kGet;
-  }
-  return op;
-}
-
-std::string ack_path(const std::string& image_path) {
-  return image_path + ".ack";
-}
-
-std::string service_image_path(const std::string& image_path,
-                               std::size_t shard) {
-  return image_path + ".s" + std::to_string(shard);
-}
-
-std::string service_ack_path(const std::string& image_path,
-                             std::size_t thread) {
-  return image_path + ".ack.t" + std::to_string(thread);
-}
-
-/// One deterministic operation draw for service client thread `thread`.
-/// Key namespaces are disjoint per thread ("sv<t>-<k>"), so each
-/// thread's model replays independently of scheduling; the value bytes
-/// are tagged by thread so a cross-thread mixup cannot masquerade as a
-/// correct read-back.
-KvOp generate_service_op(Rng& rng, std::size_t thread,
-                         core::DrainTrigger trigger, std::uint64_t& put_tag) {
-  KvOp op;
-  const std::size_t key_index =
-      (trigger == core::DrainTrigger::kUpdateLimit && !rng.chance(0.25))
-          ? 0
-          : static_cast<std::size_t>(rng.below(kServiceKeysPerThread));
-  op.key = "sv" + std::to_string(thread) + "-" + std::to_string(key_index);
-  const std::uint64_t roll = rng.below(100);
-  if (roll < 55) {
-    op.kind = OpKind::kPut;
-    const std::uint64_t vtag = ++put_tag;
-    op.value.assign(rng.below(140), '\0');
-    for (std::size_t j = 0; j < op.value.size(); ++j) {
-      op.value[j] = static_cast<char>(
-          static_cast<std::uint8_t>(vtag * 167 + j + thread * 29));
-    }
-  } else if (roll < 80) {
-    op.kind = OpKind::kErase;
-  } else {
-    op.kind = OpKind::kGet;
-  }
-  return op;
-}
-
-// Txn family bounds. Shards are pinned at 2 (see crashd.h: a both-shard
-// commit's locks are what make wave kills safe); threads stay within the
-// service family's maximum so the sweep's file cleanup covers both.
-constexpr std::size_t kTxnShards = 2;
-constexpr std::size_t kTxnKeysPerThread = 8;
-
-std::string txn_key(std::size_t thread, std::size_t k) {
-  return "tx" + std::to_string(thread) + "-" + std::to_string(k);
-}
-
-/// One deterministic sub-operation draw for txn client thread `thread`.
-/// Same disjoint-namespace + thread-tagged-value scheme as the service
-/// family; values stay under 100 bytes so a prepared txn's staged copies
-/// fit the engine's heap beside the live worst case.
-KvOp generate_txn_sub_op(Rng& rng, std::size_t thread,
-                         std::uint64_t& put_tag) {
-  KvOp op;
-  op.key = txn_key(thread, static_cast<std::size_t>(
-                               rng.below(kTxnKeysPerThread)));
-  const std::uint64_t roll = rng.below(100);
-  if (roll < 55) {
-    op.kind = OpKind::kPut;
-    const std::uint64_t vtag = ++put_tag;
-    op.value.assign(rng.below(100), '\0');
-    for (std::size_t j = 0; j < op.value.size(); ++j) {
-      op.value[j] = static_cast<char>(
-          static_cast<std::uint8_t>(vtag * 167 + j + thread * 29));
-    }
-  } else if (roll < 80) {
-    op.kind = OpKind::kErase;
-  } else {
-    op.kind = OpKind::kGet;
-  }
-  return op;
-}
-
-/// One client action: a single op (ack 'A') or a whole 2-4-op
-/// transaction (one submit_txn, ack 'T'). Biased toward txns — they are
-/// what this family exists to kill.
-struct TxnAction {
-  bool is_txn = false;
-  std::vector<KvOp> ops;  // one entry for a single, 2..4 for a txn
-};
-
-TxnAction generate_txn_action(Rng& rng, std::size_t thread,
-                              std::uint64_t& put_tag) {
-  TxnAction action;
-  action.is_txn = rng.below(100) < 60;
-  const std::size_t n =
-      action.is_txn ? 2 + static_cast<std::size_t>(rng.below(3)) : 1;
-  action.ops.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    action.ops.push_back(generate_txn_sub_op(rng, thread, put_tag));
-  }
-  return action;
-}
-
-/// The ServiceConfig both the worker and the verifier derive engines
-/// from (the worker adds the backend factory and kill hooks on top).
-/// KvService::engine_design_config over this is the single source of
-/// per-shard design geometry for reopening a dead service's images.
-service::ServiceConfig service_scenario_config(const ServiceScenario& sc) {
-  service::ServiceConfig cfg;
-  cfg.shards = sc.shards;
-  cfg.queue_capacity = 64;
-  cfg.commit.max_batch = sc.max_batch;
-  cfg.commit.max_delay_us = sc.max_delay_us;
-  cfg.kind = sc.kind;
-  cfg.design = audit::shaped_design_config(sc.trigger, kCrashdDaqEntries);
-  cfg.store = service_store_config();
-  return cfg;
-}
-
-service::ServiceConfig txn_scenario_config(const TxnScenario& sc) {
-  service::ServiceConfig cfg;
-  cfg.shards = kTxnShards;
-  cfg.queue_capacity = 64;
-  cfg.commit.max_batch = sc.max_batch;
-  cfg.commit.max_delay_us = sc.max_delay_us;
-  cfg.kind = sc.kind;
-  cfg.design = audit::shaped_design_config(sc.trigger, kCrashdDaqEntries);
-  cfg.store = txn_store_config();
-  return cfg;
-}
 
 const char* trigger_name(core::DrainTrigger t) {
   switch (t) {
@@ -235,1055 +100,841 @@ const char* phase_name(core::DrainCrashPoint p) {
   return "?";
 }
 
-}  // namespace
+// ---- Scenario draws ---------------------------------------------------
 
-store::StoreConfig crashd_store_config() {
-  store::StoreConfig cfg;
-  cfg.shards = 2;
-  cfg.buckets_per_shard = 64;
-  cfg.heap_lines_per_shard = 192;
-  return cfg;
-}
-
-bool parse_design_pin(const std::string& name, DesignPin& pin) {
-  if (name == "ccnvm") {
-    pin.kind = core::DesignKind::kCcNvm;
-  } else if (name == "ccnvm-nods") {
-    pin.kind = core::DesignKind::kCcNvmNoDs;
-  } else if (name == "phoenix") {
-    pin.kind = core::DesignKind::kPhoenix;
-  } else if (name == "triad") {
-    pin.kind = core::DesignKind::kTriadNvm;
-    pin.persist_level = 1;
-  } else if (name.rfind("triad-n", 0) == 0 && name.size() > 7) {
-    std::uint32_t level = 0;
-    for (std::size_t i = 7; i < name.size(); ++i) {
-      if (name[i] < '0' || name[i] > '9') return false;
-      level = level * 10 + static_cast<std::uint32_t>(name[i] - '0');
-    }
-    if (level == 0) return false;
-    pin.kind = core::DesignKind::kTriadNvm;
-    pin.persist_level = level;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-namespace {
-/// Designs with the §4.2 drain protocol (the only ones kDrainPhase can
-/// kill inside).
-bool pin_is_cc(core::DesignKind kind) {
-  return kind == core::DesignKind::kCcNvmNoDs ||
-         kind == core::DesignKind::kCcNvm ||
-         kind == core::DesignKind::kCcNvmPlus;
-}
-}  // namespace
-
-Scenario derive_scenario(std::uint64_t sweep_seed, std::uint64_t index,
-                         const DesignPin* pin) {
-  Scenario sc;
-  Rng rng(derive_seed(sweep_seed, index, 0xc4a5d));
-  // Only the designs whose full crash state is mirrored into the backend
-  // (TCB registers); cc-NVM+'s per-block update registers are in-process
-  // sweep territory.
+/// Only designs whose full crash state is mirrored into the backend (TCB
+/// registers); cc-NVM+'s per-block update registers are in-process sweep
+/// territory.
+void draw_engine(Rng& rng, Scenario& sc) {
   sc.kind = rng.chance(0.5) ? core::DesignKind::kCcNvm
                             : core::DesignKind::kCcNvmNoDs;
   sc.trigger = audit::kSweepTriggers[rng.below(audit::kSweepTriggers.size())];
-  sc.ops = 24 + static_cast<std::size_t>(rng.below(33));
+}
+
+/// 2..4 clients of `min_actions` + below(`spread`) actions each, behind
+/// a randomly shaped group commit.
+void draw_clients(Rng& rng, Scenario& sc, std::size_t min_actions,
+                  std::size_t spread) {
+  sc.threads = 2 + static_cast<std::size_t>(rng.below(3));
+  sc.actions = min_actions + static_cast<std::size_t>(rng.below(spread));
+  constexpr std::size_t kBatchSizes[5] = {1, 2, 4, 8, 16};
+  sc.max_batch = kBatchSizes[rng.below(5)];
+  constexpr std::uint32_t kGaps[4] = {0, 0, 100, 500};
+  sc.max_delay_us = kGaps[rng.below(4)];
+}
+
+Scenario derive_op(std::uint64_t sweep_seed, std::uint64_t index) {
+  Scenario sc;
+  sc.family = Family::kOp;
+  Rng rng(derive_seed(sweep_seed, index, 0xc4a5d));
+  draw_engine(rng, sc);
+  sc.actions = 24 + static_cast<std::size_t>(rng.below(33));
   const std::uint64_t roll = rng.below(100);
   if (roll < 10) {
-    sc.kill = KillMode::kNone;
+    sc.kill = Kill::kNone;
   } else if (roll < 30) {
-    sc.kill = KillMode::kOpBoundary;
-    sc.kill_op = static_cast<std::size_t>(rng.below(sc.ops));
+    sc.kill = Kill::kOpBoundary;
+    sc.kill_at = rng.below(sc.actions);
   } else if (roll < 45) {
-    sc.kill = KillMode::kBeforeAck;
-    sc.kill_op = static_cast<std::size_t>(rng.below(sc.ops));
+    sc.kill = Kill::kBeforeAck;
+    sc.kill_at = rng.below(sc.actions);
   } else if (roll < 90) {
-    sc.kill = KillMode::kDrainPhase;
+    sc.kill = Kill::kDrainPhase;
     constexpr core::DrainCrashPoint kPhases[3] = {
         core::DrainCrashPoint::kMidBatch,
         core::DrainCrashPoint::kAfterBatchBeforeEnd,
         core::DrainCrashPoint::kAfterEndBeforeCommit};
     sc.phase = kPhases[rng.below(3)];
-    sc.target_drain = rng.below(6);
+    sc.kill_at = rng.below(6);
   } else {
-    sc.kill = KillMode::kAttack;
+    sc.kill = Kill::kAttack;
   }
   sc.workload_seed = derive_seed(sweep_seed, index, 0x30b5);
-  if (pin != nullptr) {
-    // Applied after the full derivation: the rng stream is untouched, so
-    // a pinned sweep runs the same op streams and kill points as the
-    // default mix — only the design under test changes.
-    sc.kind = pin->kind;
-    sc.persist_level = pin->persist_level;
-    if (sc.kill == KillMode::kDrainPhase && !pin_is_cc(sc.kind)) {
-      // Barrier designs commit on every write-back — there is no drain
-      // window to kill inside. Remap to a deterministic op boundary so
-      // the pinned sweep keeps the same kill density.
-      sc.kill = KillMode::kOpBoundary;
-      sc.kill_op = static_cast<std::size_t>(
-          (sc.target_drain * 7 + static_cast<std::uint64_t>(sc.phase)) %
-          sc.ops);
-      sc.phase = core::DrainCrashPoint::kNone;
-      sc.target_drain = 0;
-    }
-  }
+  sc.attack_seed = derive_seed(sweep_seed, index, 0xa77acc);
   return sc;
 }
 
-std::string describe(const Scenario& sc) {
-  std::string s = std::string(core::design_name(sc.kind));
-  if (sc.kind == core::DesignKind::kTriadNvm) {
-    s += "(n=" + std::to_string(sc.persist_level) + ")";
+Scenario derive_service(std::uint64_t sweep_seed, std::uint64_t index) {
+  Scenario sc;
+  sc.family = Family::kService;
+  Rng rng(derive_seed(sweep_seed, index, 0x5e41ce));
+  draw_engine(rng, sc);
+  draw_clients(rng, sc, 12, 21);
+  const std::uint64_t total_ops = sc.threads * sc.actions;
+  const std::uint64_t roll = rng.below(100);
+  if (roll < 20) {
+    sc.kill = Kill::kNone;
+    // Only clean runs fan out across shards (see Scenario::shards).
+    sc.shards = 1 + static_cast<std::size_t>(rng.below(2));
+  } else if (roll < 60) {
+    sc.kill = Kill::kMidBatch;
+    sc.kill_at = 1 + rng.below(total_ops);
+  } else {
+    sc.kill = Kill::kAfterBarrier;
+    // Barrier counts depend on batching; aim low so most targets fire.
+    sc.kill_at = 1 + rng.below(total_ops / 2 + 1);
   }
-  s += " trigger=" + std::string(trigger_name(sc.trigger)) +
-       " ops=" + std::to_string(sc.ops);
-  switch (sc.kill) {
-    case KillMode::kNone:
-      s += " kill=none";
-      break;
-    case KillMode::kOpBoundary:
-      s += " kill=op-boundary@" + std::to_string(sc.kill_op);
-      break;
-    case KillMode::kBeforeAck:
-      s += " kill=before-ack@" + std::to_string(sc.kill_op);
-      break;
-    case KillMode::kDrainPhase:
-      s += std::string(" kill=drain:") + phase_name(sc.phase) + "#" +
-           std::to_string(sc.target_drain);
-      break;
-    case KillMode::kAttack:
-      s += " kill=none+attack";
-      break;
-  }
-  return s;
+  sc.workload_seed = derive_seed(sweep_seed, index, 0x5eed5);
+  return sc;
 }
 
-int run_worker(const std::string& image_path, std::uint64_t sweep_seed,
-               std::uint64_t index, const DesignPin* pin) {
-  const Scenario sc = derive_scenario(sweep_seed, index, pin);
+Scenario derive_txn(std::uint64_t sweep_seed, std::uint64_t index) {
+  Scenario sc;
+  sc.family = Family::kTxn;
+  // Two shards: the smallest count with a distributed commit, and the only
+  // one where a both-shard txn's locks silence EVERY drain worker.
+  sc.shards = 2;
+  Rng rng(derive_seed(sweep_seed, index, 0x7a135));
+  draw_engine(rng, sc);
+  draw_clients(rng, sc, 8, 9);
+  const std::uint64_t roll = rng.below(100);
+  if (roll < 20) {
+    sc.kill = Kill::kNone;
+  } else {
+    sc.kill = Kill::kAtWave;
+    sc.kill_wave = static_cast<int>(rng.below(3));
+    // ~60% of actions are txns and most 2-4-op draws over 8 keys span
+    // both shards; aim low so most targets fire before the run drains.
+    sc.kill_at = 1 + rng.below(sc.threads * sc.actions / 4 + 1);
+  }
+  sc.workload_seed = derive_seed(sweep_seed, index, 0x7a5eed);
+  return sc;
+}
 
-  core::DesignConfig cfg =
-      audit::shaped_design_config(sc.trigger, kCrashdDaqEntries);
-  cfg.persist_level = sc.persist_level;
-  cfg.backend_factory = [&image_path](std::uint64_t capacity_bytes) {
+const FamilyRow kFamilies[] = {
+    {.family = Family::kOp,
+     .flag = nullptr,
+     .prefix = "",
+     .derive = derive_op,
+     .shape = [](const Scenario& sc) {
+       return " ops=" + std::to_string(sc.actions);
+     },
+     .worker = run_store_worker,
+     .key_prefix = "cd",
+     .keys_per_client = 16,
+     .max_value = 140,
+     .hammer_key0 = true,
+     .txn_mix = false,
+     .per_client_names = false,
+     .store = {.shards = 2, .buckets_per_shard = 64,
+               .heap_lines_per_shard = 192}},
+    {.family = Family::kService,
+     .flag = "--service",
+     .prefix = "service ",
+     .derive = derive_service,
+     .shape = [](const Scenario& sc) {
+       return " shards=" + std::to_string(sc.shards) +
+              " threads=" + std::to_string(sc.threads) +
+              " ops/thread=" + std::to_string(sc.actions) +
+              " batch=" + std::to_string(sc.max_batch) +
+              " gap=" + std::to_string(sc.max_delay_us) + "us";
+     },
+     .worker = run_service_worker,
+     .key_prefix = "sv",
+     .keys_per_client = 8,
+     .max_value = 140,
+     .hammer_key0 = true,
+     .txn_mix = false,
+     .per_client_names = true,
+     .store = {.shards = 1, .buckets_per_shard = 64,
+               .heap_lines_per_shard = 192}},
+    {.family = Family::kTxn,
+     .flag = "--txn",
+     .prefix = "txn ",
+     .derive = derive_txn,
+     .shape = [](const Scenario& sc) {
+       return " threads=" + std::to_string(sc.threads) +
+              " actions/thread=" + std::to_string(sc.actions) +
+              " batch=" + std::to_string(sc.max_batch) +
+              " gap=" + std::to_string(sc.max_delay_us) + "us";
+     },
+     .worker = run_service_worker,
+     .key_prefix = "tx",
+     .keys_per_client = 8,
+     .max_value = 100,
+     .hammer_key0 = false,
+     .txn_mix = true,
+     .per_client_names = true,
+     .store = {.shards = 1, .buckets_per_shard = 64,
+               .heap_lines_per_shard = 192, .txn_ops_capacity = 8}},
+};
+
+const FamilyRow& row_of(Family family) {
+  for (const FamilyRow& row : kFamilies) {
+    if (row.family == family) return row;
+  }
+  CCNVM_CHECK_MSG(false, "crashd: unknown scenario family");
+  return kFamilies[0];
+}
+
+/// The one check of a --design against the family: sets `pin` (nullopt
+/// for an empty name) or returns why the name cannot pin this family.
+std::string resolve_pin(Family family, const std::string& design,
+                        std::optional<DesignPin>& pin) {
+  pin.reset();
+  if (design.empty()) return {};
+  if (family != Family::kOp) {
+    return std::string("--design pins the op family only; drop ") +
+           row_of(family).flag;
+  }
+  pin = parse_design_pin(design);
+  if (!pin) return "unknown or unsupported design pin '" + design + "'";
+  return {};
+}
+
+// ---- Names and the shared geometry -------------------------------------
+
+std::string key_name(const FamilyRow& row, std::size_t client,
+                     std::size_t k) {
+  return row.key_prefix +
+         (row.per_client_names ? std::to_string(client) : std::string()) +
+         "-" + std::to_string(k);
+}
+
+std::string image_file(const std::string& image_path, const Scenario& sc,
+                       std::size_t shard) {
+  return row_of(sc.family).per_client_names
+             ? image_path + ".s" + std::to_string(shard)
+             : image_path;
+}
+
+std::string ack_file(const std::string& image_path, const Scenario& sc,
+                     std::size_t client) {
+  return row_of(sc.family).per_client_names
+             ? image_path + ".ack.t" + std::to_string(client)
+             : image_path + ".ack";
+}
+
+/// The one geometry source for worker and verifier. The op family's bare
+/// store runs on shard 0 of it, whose KvService::engine_design_config is
+/// `design` itself.
+service::ServiceConfig family_config(const Scenario& sc) {
+  service::ServiceConfig cfg;
+  cfg.shards = sc.shards;
+  cfg.queue_capacity = 64;
+  cfg.commit.max_batch = sc.max_batch;
+  cfg.commit.max_delay_us = sc.max_delay_us;
+  cfg.kind = sc.kind;
+  cfg.design = audit::shaped_design_config(sc.trigger, kCrashdDaqEntries);
+  cfg.design.persist_level = sc.persist_level;
+  cfg.store = row_of(sc.family).store;
+  return cfg;
+}
+
+/// One op draw. The mix mirrors the in-process crash fuzz engine: mostly
+/// puts (out-of-place updates stress the heap/commit path), a hammered key
+/// when the update-limit trigger is under test.
+KvOp draw_op(Rng& rng, const FamilyRow& row, const Scenario& sc,
+             std::size_t client, std::uint64_t& put_tag) {
+  KvOp op;
+  const std::size_t k =
+      (row.hammer_key0 && sc.trigger == core::DrainTrigger::kUpdateLimit &&
+       !rng.chance(0.25))
+          ? 0
+          : static_cast<std::size_t>(rng.below(row.keys_per_client));
+  op.key = key_name(row, client, k);
+  const std::uint64_t roll = rng.below(100);
+  if (roll < 55) {
+    op.kind = OpKind::kPut;
+    const std::uint64_t vtag = ++put_tag;
+    op.value.assign(rng.below(row.max_value), '\0');
+    for (std::size_t j = 0; j < op.value.size(); ++j) {
+      op.value[j] = static_cast<char>(
+          static_cast<std::uint8_t>(vtag * 167 + j + client * 29));
+    }
+  } else if (roll < 80) {
+    op.kind = OpKind::kErase;
+  } else {
+    op.kind = OpKind::kGet;
+  }
+  return op;
+}
+
+// ---- Worker ------------------------------------------------------------
+
+/// The worker's ack logs, one per client, all created before any traffic
+/// so the verifier finds every log even after an instant kill. Unbuffered:
+/// one write(2) per acknowledged action. A buffered stream would lose acks
+/// sitting in user-space buffers at the kill and make the verifier
+/// under-count what the worker promised.
+class AckLogs {
+ public:
+  AckLogs(const std::string& image_path, const Scenario& sc) {
+    for (std::size_t t = 0; t < sc.threads; ++t) {
+      const int fd = ::open(ack_file(image_path, sc, t).c_str(),
+                            O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      CCNVM_CHECK_MSG(fd >= 0, "crashd worker: cannot create ack log");
+      fds_.push_back(fd);
+    }
+  }
+  ~AckLogs() {
+    for (const int fd : fds_) ::close(fd);
+  }
+  AckLogs(const AckLogs&) = delete;
+  AckLogs& operator=(const AckLogs&) = delete;
+
+  int fd(std::size_t client) const { return fds_[client]; }
+
+ private:
+  std::vector<int> fds_;
+};
+
+/// One client's loop, shared by every family: apply action i, then
+/// acknowledge it. `apply(i, action)` returns only once the action is
+/// durable — the store's commit, or the service's barrier (KvService's
+/// ack-after-barrier contract); `after_ack(i)` runs the op family's
+/// op-boundary kills and checkpoints.
+template <typename Apply, typename AfterAck>
+void drive_client(const Scenario& sc, std::size_t client, int ack_fd,
+                  Apply&& apply, AfterAck&& after_ack) {
+  // The ack IS the durability promise the verifier holds the image to:
+  // anything acknowledged must survive the kill. CCNVM_ACK lets nvlint
+  // prove no unbarriered persistent write can precede an ack (check N1).
+  CCNVM_ACK const auto ack = [ack_fd](char c) {
+    CCNVM_CHECK(::write(ack_fd, &c, 1) == 1);
+  };
+  const std::vector<Action> actions = client_actions(sc, client);
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    apply(i, actions[i]);
+    ack(actions[i].is_txn ? 'T' : 'A');
+    after_ack(i);
+  }
+  ack('C');  // clean exit: every action of this client acknowledged
+}
+
+bool applied(bool ok) { return ok; }
+bool applied(const service::Result& result) { return result.ok; }
+
+/// One single op against a bare store or a service (same call shapes).
+template <typename Kv>
+void apply_op(Kv& kv, const KvOp& op) {
+  switch (op.kind) {
+    case OpKind::kPut:
+      CCNVM_CHECK_MSG(applied(kv.put(op.key, op.value)),
+                      "crashd worker: store full");
+      break;
+    case OpKind::kErase:
+      (void)kv.erase(op.key);
+      break;
+    case OpKind::kGet:
+      (void)kv.get(op.key);
+      break;
+  }
+}
+
+void apply_action(service::KvService& service, const Action& action) {
+  if (!action.is_txn) {
+    apply_op(service, action.ops.front());
+    return;
+  }
+  std::vector<service::TxnOp> ops;
+  ops.reserve(action.ops.size());
+  for (const KvOp& op : action.ops) {
+    service::TxnOp sub;
+    sub.op = op.kind == OpKind::kPut     ? service::OpType::kPut
+             : op.kind == OpKind::kErase ? service::OpType::kErase
+                                         : service::OpType::kGet;
+    sub.key = op.key;
+    sub.value = op.value;
+    ops.push_back(std::move(sub));
+  }
+  CCNVM_CHECK_MSG(service.submit_txn(ops).committed,
+                  "crashd worker: txn aborted");
+}
+
+/// The op family: one client straight on a SecureKvStore, killed at an op
+/// boundary, before an ack, or inside a drain window.
+int run_store_worker(const std::string& image_path, const Scenario& sc) {
+  core::DesignConfig cfg = family_config(sc).design;
+  cfg.backend_factory = [path = image_file(image_path, sc, 0)](
+                            std::uint64_t capacity_bytes) {
     // kNone: SIGKILL keeps the page cache, which is all this harness
     // needs (see file comment in nvm/file_backend.h); kSync would model
     // machine power cuts and msync on every batch.
-    return nvm::FileBackend::create(image_path, capacity_bytes,
+    return nvm::FileBackend::create(path, capacity_bytes,
                                     nvm::FileBackend::SyncMode::kNone);
   };
   auto design = core::make_design(sc.kind, cfg);
   auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
   auto* cc = dynamic_cast<core::CcNvmDesign*>(design.get());
   CCNVM_CHECK_MSG(base != nullptr, "crashd worker needs a SecureNvmBase");
-  CCNVM_CHECK_MSG(cc != nullptr || sc.kill != KillMode::kDrainPhase,
+  CCNVM_CHECK_MSG(cc != nullptr || sc.kill != Kill::kDrainPhase,
                   "crashd drain-phase kill needs a CcNvmDesign");
-
-  // Unbuffered ack log: one write(2) per acknowledged operation. A
-  // buffered stream would lose acks sitting in user-space buffers at the
-  // kill and make the verifier under-count what the worker promised.
-  const int ack_fd =
-      ::open(ack_path(image_path).c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  CCNVM_CHECK_MSG(ack_fd >= 0, "crashd worker: cannot create ack log");
-  // The ack IS the durability promise the verifier holds the image to:
-  // anything acknowledged must survive the kill. CCNVM_ACK lets nvlint
-  // prove no unbarriered persistent write can precede an ack (check N1).
-  CCNVM_ACK const auto ack = [&](char c) {
-    CCNVM_CHECK(::write(ack_fd, &c, 1) == 1);
-  };
-
-  if (sc.kill == KillMode::kDrainPhase) {
+  const AckLogs acks(image_path, sc);
+  if (sc.kill == Kill::kDrainPhase) {
     cc->set_power_loss_hook([] { die_now(); });
   }
 
-  store::SecureKvStore kv(*base, crashd_store_config());
-  Rng rng(sc.workload_seed);
-  std::uint64_t put_tag = 0;
+  store::SecureKvStore kv(*base, row_of(sc.family).store);
   bool armed = false;
-  for (std::size_t i = 0; i < sc.ops; ++i) {
-    if (sc.kill == KillMode::kDrainPhase && !armed &&
-        base->stats().drains >= sc.target_drain) {
-      cc->arm_drain_crash(sc.phase);
-      armed = true;
-    }
-    const KvOp op = generate_op(rng, sc.trigger, put_tag);
-    switch (op.kind) {
-      case OpKind::kPut:
-        CCNVM_CHECK_MSG(kv.put(op.key, op.value), "crashd worker: store full");
-        break;
-      case OpKind::kErase:
-        (void)kv.erase(op.key);
-        break;
-      case OpKind::kGet:
-        (void)kv.get(op.key);
-        break;
-    }
-    if (sc.kill == KillMode::kBeforeAck && i == sc.kill_op) die_now();
-    ack('A');
-    if (sc.kill == KillMode::kOpBoundary && i == sc.kill_op) die_now();
-    if (sc.trigger == core::DrainTrigger::kExplicit &&
-        (i + 1) % kCheckpointEvery == 0) {
-      kv.checkpoint();
+  drive_client(
+      sc, 0, acks.fd(0),
+      [&](std::size_t i, const Action& action) {
+        if (sc.kill == Kill::kDrainPhase && !armed &&
+            base->stats().drains >= sc.kill_at) {
+          cc->arm_drain_crash(sc.phase);
+          armed = true;
+        }
+        apply_op(kv, action.ops.front());
+        if (sc.kill == Kill::kBeforeAck && i == sc.kill_at) die_now();
+      },
+      [&](std::size_t i) {
+        if (sc.kill == Kill::kOpBoundary && i == sc.kill_at) die_now();
+        if (sc.trigger == core::DrainTrigger::kExplicit &&
+            (i + 1) % kCheckpointEvery == 0) {
+          kv.checkpoint();
+        }
+        // Clean shutdown (reached when no kill was drawn or an armed drain
+        // crash never fired): quiesce before promising the full trace.
+        if (i + 1 == sc.actions) kv.checkpoint();
+      });
+  return 0;
+}
+
+/// The service and txn families: client threads on a KvService, killed
+/// from the service's own hooks at points where no engine can be halfway
+/// through a line write.
+int run_service_worker(const std::string& image_path, const Scenario& sc) {
+  CCNVM_CHECK_MSG(
+      (sc.kill != Kill::kMidBatch && sc.kill != Kill::kAfterBarrier) ||
+          sc.shards == 1,
+      "crashd service: drain-worker kills must be single-shard");
+  // Declared before the service so the hooks capturing it outlive the
+  // drain workers.
+  std::atomic<std::uint64_t> events{0};
+  const auto count_to_kill = [&events, target = sc.kill_at] {
+    if (events.fetch_add(1) + 1 == target) die_now();
+  };
+
+  service::ServiceConfig cfg = family_config(sc);
+  cfg.backend_factory = [&image_path, &sc](std::size_t shard,
+                                           std::uint64_t capacity_bytes) {
+    // kNone for the same reason as run_store_worker.
+    return nvm::FileBackend::create(image_file(image_path, sc, shard),
+                                    capacity_bytes,
+                                    nvm::FileBackend::SyncMode::kNone);
+  };
+  switch (sc.kill) {
+    case Kill::kMidBatch:
+      cfg.after_apply_hook = count_to_kill;
+      break;
+    case Kill::kAfterBarrier:
+      cfg.after_barrier_hook = count_to_kill;
+      break;
+    case Kill::kAtWave:
+      cfg.txn_wave_hook = [count_to_kill, wave = sc.kill_wave,
+                           shards = sc.shards](int w,
+                                               std::size_t participants) {
+        // Both-shard commits only: their admission locks park every drain
+        // worker by the time the hook runs on the client thread, so the
+        // SIGKILL raised here cannot catch a half-written line. A
+        // single-shard txn's waves leave the other worker live — skip.
+        if (w != wave || participants < shards) return;
+        count_to_kill();
+      };
+      break;
+    default:
+      break;
+  }
+
+  const AckLogs acks(image_path, sc);
+  service::KvService service(cfg);
+  std::vector<std::thread> clients;
+  clients.reserve(sc.threads);
+  for (std::size_t t = 0; t < sc.threads; ++t) {
+    clients.emplace_back([&service, &sc, &acks, t] {
+      drive_client(
+          sc, t, acks.fd(t),
+          [&service](std::size_t, const Action& action) {
+            apply_action(service, action);
+          },
+          [](std::size_t) {});
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  // Reached when no kill was drawn or the target never fired: quiesce.
+  service.shutdown();
+  return 0;
+}
+
+// ---- Verifier ----------------------------------------------------------
+
+/// One client's ack log: an 'A' (single op) or 'T' (txn) per acknowledged
+/// action, then 'C' if the client finished cleanly.
+struct AckLog {
+  std::string acked;  // without the trailing 'C'
+  bool clean = false;
+};
+
+AckLog read_ack_log(const std::string& path, std::size_t actions) {
+  AckLog log;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  CCNVM_CHECK_MSG(f != nullptr, "crashd verify: missing ack log");
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) log.acked.append(buf, n);
+  std::fclose(f);
+  log.clean = !log.acked.empty() && log.acked.back() == 'C';
+  if (log.clean) log.acked.pop_back();
+  CCNVM_CHECK_MSG(log.acked.find_first_not_of("AT") == std::string::npos,
+                  "crashd verify: malformed ack log");
+  CCNVM_CHECK_MSG(log.acked.size() <= actions,
+                  "crashd verify: more acks than actions");
+  if (log.clean) {
+    CCNVM_CHECK_MSG(log.acked.size() == actions,
+                    "crashd verify: clean exit with missing acks");
+  }
+  return log;
+}
+
+/// An engine reopened from the image a dead process left behind, with the
+/// auditor attached across restore and recovery.
+struct Reopened {
+  std::unique_ptr<core::SecureNvmDesign> design;
+  core::SecureNvmBase* base = nullptr;
+  std::unique_ptr<audit::InvariantAuditor> auditor;
+  core::RecoveryReport report;
+};
+
+/// FileBackend open, TCB register decode, a fresh design with the auditor
+/// attached, then restore_from_power_down and recover(). `tamper`, when
+/// set, corrupts the image between the design's construction and the
+/// restore.
+Reopened reopen(
+    const std::string& path, core::DesignKind kind,
+    const core::DesignConfig& cfg,
+    const std::function<void(nvm::NvmImage&, const core::SecureNvmBase&)>&
+        tamper = {}) {
+  auto backend = nvm::FileBackend::open(path);
+  CCNVM_CHECK_MSG(backend != nullptr,
+                  "crashd verify: image file missing or unreadable");
+  std::uint8_t regs[nvm::Backend::kRegisterCapacity];
+  const std::size_t reg_len = backend->load_registers(regs, sizeof(regs));
+  core::TcbRegisters tcb;
+  CCNVM_CHECK_MSG(core::decode_tcb(regs, reg_len, tcb),
+                  "crashd verify: image carries no valid TCB register blob");
+  nvm::NvmImage image(std::move(backend));
+
+  Reopened r;
+  r.design = core::make_design(kind, cfg);
+  r.base = dynamic_cast<core::SecureNvmBase*>(r.design.get());
+  CCNVM_CHECK(r.base != nullptr);
+  r.auditor = std::make_unique<audit::InvariantAuditor>(
+      audit::InvariantAuditor::Options{.verify_image = true});
+  r.auditor->attach(*r.base);
+  if (tamper) tamper(image, *r.base);
+  r.base->restore_from_power_down(std::move(image), tcb);
+  r.report = r.design->recover();
+  return r;
+}
+
+/// §4.4 attack location: flip one bit in a populated data line of the
+/// (cleanly quiesced) image; recovery must both detect and pinpoint it.
+void verify_attack(const std::string& image_path, const Scenario& sc,
+                   VerifyResult& res) {
+  Addr victim = 0;
+  const Reopened r = reopen(
+      image_file(image_path, sc, 0), sc.kind,
+      family_config(sc).design,
+      [&](nvm::NvmImage& image, const core::SecureNvmBase& base) {
+        std::vector<Addr> candidates;
+        image.for_each_line([&](Addr addr, const Line&) {
+          if (addr < base.layout().data_capacity()) candidates.push_back(addr);
+        });
+        std::sort(candidates.begin(), candidates.end());
+        CCNVM_CHECK_MSG(!candidates.empty(),
+                        "crashd verify: attack scenario found no data lines");
+        Rng attack_rng(sc.attack_seed);
+        victim = candidates[attack_rng.below(candidates.size())];
+        Line line = image.read_line(victim);
+        line[attack_rng.below(kLineSize)] ^=
+            static_cast<std::uint8_t>(1u << attack_rng.below(8));
+        image.restore_line(victim, line);
+      });
+  CCNVM_CHECK_MSG(r.report.attack_detected,
+                  "crashd verify: corrupted data line not detected");
+  CCNVM_CHECK_MSG(r.report.attack_located,
+                  "crashd verify: corrupted data line not located");
+  CCNVM_CHECK_MSG(std::find(r.report.tampered_blocks.begin(),
+                            r.report.tampered_blocks.end(),
+                            victim) != r.report.tampered_blocks.end(),
+                  "crashd verify: located the wrong line");
+  res.attack_checked = true;
+  res.auditor_checks = r.auditor->checks_performed();
+}
+
+/// The after-state an in-flight action leaves per key if it applied (last
+/// sub-op wins, nullopt = erased; reads contribute nothing).
+using Effect = std::map<std::string, std::optional<std::string>>;
+
+void apply_to_model(std::map<std::string, std::string>& model,
+                    const Effect& effect) {
+  for (const auto& [key, after] : effect) {
+    if (after) {
+      model[key] = *after;
+    } else {
+      model.erase(key);
     }
   }
-  // Clean shutdown (reached when no kill was drawn or an armed drain
-  // crash never fired): quiesce, then promise the full trace.
-  kv.checkpoint();
-  ack('C');
-  ::close(ack_fd);
-  return 0;
+}
+
+Effect effect_of(const Action& action) {
+  Effect effect;
+  for (const KvOp& op : action.ops) {
+    if (op.kind == OpKind::kGet) continue;
+    effect[op.key] = op.kind == OpKind::kPut
+                         ? std::optional<std::string>(op.value)
+                         : std::nullopt;
+  }
+  return effect;
+}
+
+VerifyResult verify_or_throw(const std::string& image_path,
+                                    const Scenario& sc) {
+  const FamilyRow& row = row_of(sc.family);
+  VerifyResult res;
+
+  // --- Per-client ack logs: what each client was promised. ---
+  std::vector<AckLog> logs;
+  bool all_clean = true;
+  for (std::size_t t = 0; t < sc.threads; ++t) {
+    logs.push_back(read_ack_log(ack_file(image_path, sc, t), sc.actions));
+    all_clean = all_clean && logs.back().clean;
+    res.acked_ops += logs.back().acked.size();
+  }
+  if (sc.kill == Kill::kNone || sc.kill == Kill::kAttack) {
+    CCNVM_CHECK_MSG(all_clean, "crashd verify: worker died in a no-kill run");
+  }
+  res.worker_was_killed = !all_clean;
+  if (sc.kill == Kill::kAttack) {
+    verify_attack(image_path, sc, res);
+    return res;
+  }
+
+  // --- Replay each client's acked prefix into the model. Key namespaces
+  // are disjoint per client, and a client submits action i+1 only after
+  // action i's ack, so at most ONE action per client is in flight. ---
+  std::map<std::string, std::string> model;
+  std::vector<Effect> in_flight;
+  for (std::size_t t = 0; t < sc.threads; ++t) {
+    const std::vector<Action> actions = client_actions(sc, t);
+    const std::string& acked = logs[t].acked;
+    for (std::size_t i = 0; i < acked.size(); ++i) {
+      CCNVM_CHECK_MSG(
+          acked[i] == (actions[i].is_txn ? 'T' : 'A'),
+          "crashd verify: ack log kind disagrees with the stream");
+      apply_to_model(model, effect_of(actions[i]));
+    }
+    if (!logs[t].clean && acked.size() < actions.size()) {
+      Effect effect = effect_of(actions[acked.size()]);
+      if (!effect.empty()) in_flight.push_back(std::move(effect));
+    }
+  }
+
+  // --- Reopen every engine. Shard 0 first: it coordinates every
+  // cross-shard txn (lowest participant), so its decision line is there
+  // when the other shards' journals resolve. ---
+  const service::ServiceConfig cfg = family_config(sc);
+  std::vector<Reopened> engines;
+  engines.reserve(sc.shards);
+  for (std::size_t s = 0; s < sc.shards; ++s) {
+    engines.push_back(reopen(image_file(image_path, sc, s), sc.kind,
+                             service::KvService::engine_design_config(cfg, s)));
+    CCNVM_CHECK_MSG(
+        engines.back().report.clean && engines.back().report.metadata_recovered,
+        "crashd verify: recovery of the killed image not clean");
+  }
+  std::vector<store::SecureKvStore> stores;
+  stores.reserve(sc.shards);
+  const store::TxnResolver resolver = [&stores](std::uint64_t txn_id,
+                                                std::uint32_t coordinator) {
+    // coordinator != 0 = a self-coordinated txn whose own decision line
+    // already failed to answer — undecided, presumed abort.
+    return coordinator == 0 && stores[0].last_txn_decision() ==
+                                   std::optional<std::uint64_t>(txn_id);
+  };
+  for (std::size_t s = 0; s < sc.shards; ++s) {
+    stores.push_back(store::SecureKvStore::open(
+        *engines[s].base, cfg.store,
+        s == 0 ? store::TxnResolver() : resolver));
+  }
+
+  // --- Read every key once, settle each in-flight action all-or-nothing
+  // against what came back (applied actions join the model, rolled-back
+  // ones leave it untouched; actions are key-disjoint, so order is
+  // irrelevant), then hold the union to the model. ---
+  std::map<std::string, std::optional<std::string>> got;
+  for (std::size_t t = 0; t < sc.threads; ++t) {
+    for (std::size_t k = 0; k < row.keys_per_client; ++k) {
+      const std::string key = key_name(row, t, k);
+      got[key] = stores[service::KvService::shard_of(key, sc.shards)].get(key);
+    }
+  }
+  for (const Effect& effect : in_flight) {
+    std::size_t applied_keys = 0;
+    std::size_t rolled_back = 0;
+    for (const auto& [key, after] : effect) {
+      const auto it = model.find(key);
+      const std::optional<std::string> before =
+          it == model.end() ? std::nullopt
+                            : std::optional<std::string>(it->second);
+      if (after == before) continue;  // e.g. erase of an absent key
+      if (got.at(key) == after) {
+        ++applied_keys;
+      } else {
+        CCNVM_CHECK_MSG(got.at(key) == before,
+                        "crashd verify: in-flight action left a third state");
+        ++rolled_back;
+      }
+    }
+    CCNVM_CHECK_MSG(applied_keys == 0 || rolled_back == 0,
+                    "crashd verify: torn in-flight transaction after the kill");
+    if (applied_keys > 0) apply_to_model(model, effect);
+  }
+  std::vector<std::uint64_t> live(sc.shards, 0);
+  for (const auto& [key, value] : got) {
+    if (const auto it = model.find(key); it != model.end()) {
+      CCNVM_CHECK_MSG(value == it->second,
+                      "crashd verify: acknowledged action lost");
+    } else {
+      CCNVM_CHECK_MSG(!value.has_value(),
+                      "crashd verify: erased/unwritten key reappeared");
+    }
+    if (value) ++live[service::KvService::shard_of(key, sc.shards)];
+    ++res.keys_checked;
+  }
+  for (std::size_t s = 0; s < sc.shards; ++s) {
+    CCNVM_CHECK_MSG(stores[s].size() == live[s],
+                    "crashd verify: store holds spurious entries");
+    res.auditor_checks += engines[s].auditor->checks_performed();
+  }
+  return res;
+}
+
+}  // namespace
+
+std::optional<DesignPin> parse_design_pin(const std::string& name) {
+  const std::optional<core::DesignSpec> spec = core::parse_design(name);
+  if (!spec) return std::nullopt;
+  switch (spec->kind) {
+    case core::DesignKind::kCcNvm:
+    case core::DesignKind::kCcNvmNoDs:
+    case core::DesignKind::kTriadNvm:
+    case core::DesignKind::kPhoenix:
+      return spec;
+    default:
+      return std::nullopt;
+  }
+}
+
+Scenario derive_scenario(Family family, std::uint64_t sweep_seed,
+                         std::uint64_t index, const DesignPin* pin) {
+  Scenario sc = row_of(family).derive(sweep_seed, index);
+  if (pin != nullptr) {
+    CCNVM_CHECK_MSG(family == Family::kOp,
+                    "crashd: design pins are op-family only");
+    // Applied after the full derivation: the rng stream is untouched, so
+    // a pinned sweep runs the same op streams and kill points as the
+    // default mix — only the design under test changes.
+    sc.kind = pin->kind;
+    sc.persist_level = pin->persist_level;
+    // Designs with the §4.2 drain protocol (the only ones kDrainPhase can
+    // kill inside).
+    const bool drains = sc.kind == core::DesignKind::kCcNvmNoDs ||
+                        sc.kind == core::DesignKind::kCcNvm ||
+                        sc.kind == core::DesignKind::kCcNvmPlus;
+    if (sc.kill == Kill::kDrainPhase && !drains) {
+      // Barrier designs commit on every write-back — there is no drain
+      // window to kill inside. Remap to a deterministic op boundary so
+      // the pinned sweep keeps the same kill density.
+      sc.kill = Kill::kOpBoundary;
+      sc.kill_at = (sc.kill_at * 7 + static_cast<std::uint64_t>(sc.phase)) %
+                   sc.actions;
+      sc.phase = core::DrainCrashPoint::kNone;
+    }
+  }
+  return sc;
+}
+
+std::string describe(const Scenario& sc) {
+  const FamilyRow& row = row_of(sc.family);
+  std::string s = row.prefix + std::string(core::design_name(sc.kind));
+  if (sc.kind == core::DesignKind::kTriadNvm) {
+    s += "(n=" + std::to_string(sc.persist_level) + ")";
+  }
+  s += " trigger=" + std::string(trigger_name(sc.trigger)) + row.shape(sc);
+  const std::string at = std::to_string(sc.kill_at);
+  switch (sc.kill) {
+    case Kill::kNone: return s + " kill=none";
+    case Kill::kAttack: return s + " kill=none+attack";
+    case Kill::kOpBoundary: return s + " kill=op-boundary@" + at;
+    case Kill::kBeforeAck: return s + " kill=before-ack@" + at;
+    case Kill::kDrainPhase:
+      return s + " kill=drain:" + phase_name(sc.phase) + "#" + at;
+    case Kill::kMidBatch: return s + " kill=mid-batch@" + at;
+    case Kill::kAfterBarrier: return s + " kill=after-barrier@" + at;
+    case Kill::kAtWave:
+      return s + " kill=wave" + std::to_string(sc.kill_wave) + "@" + at;
+  }
+  return s;
+}
+
+std::vector<Action> client_actions(const Scenario& sc, std::size_t client) {
+  const FamilyRow& row = row_of(sc.family);
+  Rng rng(row.per_client_names ? derive_seed(sc.workload_seed, client)
+                               : sc.workload_seed);
+  std::uint64_t put_tag = 0;
+  std::vector<Action> actions(sc.actions);
+  for (Action& action : actions) {
+    // Biased toward txns — they are what the txn family exists to kill.
+    action.is_txn = row.txn_mix && rng.below(100) < 60;
+    const std::size_t n =
+        action.is_txn ? 2 + static_cast<std::size_t>(rng.below(3)) : 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      action.ops.push_back(draw_op(rng, row, sc, client, put_tag));
+    }
+  }
+  return actions;
+}
+
+std::vector<std::string> scenario_files(const std::string& image_path,
+                                        const Scenario& sc) {
+  std::vector<std::string> files;
+  for (std::size_t s = 0; s < sc.shards; ++s) {
+    files.push_back(image_file(image_path, sc, s));
+  }
+  for (std::size_t t = 0; t < sc.threads; ++t) {
+    files.push_back(ack_file(image_path, sc, t));
+  }
+  return files;
+}
+
+int run_worker(const std::string& image_path, const Scenario& sc) {
+  return row_of(sc.family).worker(image_path, sc);
 }
 
 VerifyResult verify_scenario(const std::string& image_path,
-                             std::uint64_t sweep_seed, std::uint64_t index,
-                             const DesignPin* pin) {
-  VerifyResult res;
-  const Scenario sc = derive_scenario(sweep_seed, index, pin);
+                             const Scenario& sc) {
   try {
-    // --- The ack log: what the worker promised before dying. ---
-    std::string acks;
-    {
-      std::FILE* f = std::fopen(ack_path(image_path).c_str(), "rb");
-      CCNVM_CHECK_MSG(f != nullptr, "crashd verify: missing ack log");
-      char buf[4096];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        acks.append(buf, n);
-      }
-      std::fclose(f);
-    }
-    const bool clean = !acks.empty() && acks.back() == 'C';
-    const std::size_t n_acks = acks.size() - (clean ? 1 : 0);
-    CCNVM_CHECK_MSG(
-        acks.find_first_not_of('A') == (clean ? acks.size() - 1
-                                              : std::string::npos),
-        "crashd verify: malformed ack log");
-    CCNVM_CHECK_MSG(n_acks <= sc.ops, "crashd verify: more acks than ops");
-    if (clean) {
-      CCNVM_CHECK_MSG(n_acks == sc.ops,
-                      "crashd verify: clean exit with missing acks");
-    }
-    if (sc.kill == KillMode::kNone || sc.kill == KillMode::kAttack) {
-      CCNVM_CHECK_MSG(clean, "crashd verify: worker died in a no-kill run");
-    }
-    res.worker_was_killed = !clean;
-    res.acked_ops = n_acks;
-
-    // --- Replay the deterministic op stream into a model map. ---
-    std::map<std::string, std::string> model;
-    std::optional<std::string> in_flight_key;
-    std::optional<std::string> in_flight_before;
-    std::optional<std::string> in_flight_after;
-    {
-      Rng rng(sc.workload_seed);
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i <= n_acks && i < sc.ops; ++i) {
-        const KvOp op = generate_op(rng, sc.trigger, put_tag);
-        if (i == n_acks) {
-          if (clean) break;
-          // The one operation the kill may have caught mid-application:
-          // old state or new state are both legal, a third is not.
-          const auto it = model.find(op.key);
-          in_flight_key = op.key;
-          in_flight_before = it == model.end()
-                                 ? std::nullopt
-                                 : std::optional<std::string>(it->second);
-          switch (op.kind) {
-            case OpKind::kPut:
-              in_flight_after = op.value;
-              break;
-            case OpKind::kErase:
-              in_flight_after = std::nullopt;
-              break;
-            case OpKind::kGet:
-              in_flight_after = in_flight_before;
-              break;
-          }
-          break;
-        }
-        switch (op.kind) {
-          case OpKind::kPut:
-            model[op.key] = op.value;
-            break;
-          case OpKind::kErase:
-            model.erase(op.key);
-            break;
-          case OpKind::kGet:
-            break;
-        }
-      }
-    }
-
-    // --- Reopen the image a dead process left behind. ---
-    auto backend = nvm::FileBackend::open(image_path);
-    CCNVM_CHECK_MSG(backend != nullptr,
-                    "crashd verify: image file missing or unreadable");
-    std::uint8_t regs[nvm::Backend::kRegisterCapacity];
-    const std::size_t reg_len = backend->load_registers(regs, sizeof(regs));
-    core::TcbRegisters tcb;
-    CCNVM_CHECK_MSG(core::decode_tcb(regs, reg_len, tcb),
-                    "crashd verify: image carries no valid TCB register blob");
-    nvm::NvmImage image(std::move(backend));
-
-    core::DesignConfig verify_cfg =
-        audit::shaped_design_config(sc.trigger, kCrashdDaqEntries);
-    verify_cfg.persist_level = sc.persist_level;
-    auto design = core::make_design(sc.kind, verify_cfg);
-    auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
-    CCNVM_CHECK(base != nullptr);
-    audit::InvariantAuditor auditor(
-        audit::InvariantAuditor::Options{.verify_image = true});
-    auditor.attach(*base);
-
-    if (sc.kill == KillMode::kAttack) {
-      // §4.4 attack location: flip one bit in a populated data line of
-      // the (cleanly quiesced) image; recovery must both detect and
-      // pinpoint it.
-      std::vector<Addr> candidates;
-      image.for_each_line([&](Addr addr, const Line&) {
-        if (addr < base->layout().data_capacity()) candidates.push_back(addr);
-      });
-      std::sort(candidates.begin(), candidates.end());
-      CCNVM_CHECK_MSG(!candidates.empty(),
-                      "crashd verify: attack scenario found no data lines");
-      Rng attack_rng(derive_seed(sweep_seed, index, 0xa77acc));
-      const Addr victim = candidates[attack_rng.below(candidates.size())];
-      Line line = image.read_line(victim);
-      line[attack_rng.below(kLineSize)] ^=
-          static_cast<std::uint8_t>(1u << attack_rng.below(8));
-      image.restore_line(victim, line);
-
-      base->restore_from_power_down(std::move(image), tcb);
-      const core::RecoveryReport report = design->recover();
-      CCNVM_CHECK_MSG(report.attack_detected,
-                      "crashd verify: corrupted data line not detected");
-      CCNVM_CHECK_MSG(report.attack_located,
-                      "crashd verify: corrupted data line not located");
-      CCNVM_CHECK_MSG(std::find(report.tampered_blocks.begin(),
-                                report.tampered_blocks.end(),
-                                victim) != report.tampered_blocks.end(),
-                      "crashd verify: located the wrong line");
-      res.attack_checked = true;
-      res.auditor_checks = auditor.checks_performed();
-      res.ok = true;
-      return res;
-    }
-
-    // --- Crash-consistency contract on the reopened image. ---
-    base->restore_from_power_down(std::move(image), tcb);
-    const core::RecoveryReport report = design->recover();
-    CCNVM_CHECK_MSG(report.clean && report.metadata_recovered,
-                    "crashd verify: recovery of the killed image not clean");
-
-    store::SecureKvStore kv =
-        store::SecureKvStore::open(*base, crashd_store_config());
-    std::uint64_t live = 0;
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      const std::string key = "cd-" + std::to_string(i);
-      const std::optional<std::string> got = kv.get(key);
-      if (in_flight_key && *in_flight_key == key) {
-        CCNVM_CHECK_MSG(got == in_flight_before || got == in_flight_after,
-                        "crashd verify: in-flight op left a third state");
-      } else if (const auto it = model.find(key); it != model.end()) {
-        CCNVM_CHECK_MSG(got.has_value() && *got == it->second,
-                        "crashd verify: acknowledged operation lost");
-      } else {
-        CCNVM_CHECK_MSG(!got.has_value(),
-                        "crashd verify: erased/unwritten key reappeared");
-      }
-      if (got.has_value()) ++live;
-      ++res.keys_checked;
-    }
-    CCNVM_CHECK_MSG(kv.size() == live,
-                    "crashd verify: store holds spurious entries");
-    res.auditor_checks = auditor.checks_performed();
+    VerifyResult res = verify_or_throw(image_path, sc);
     res.ok = true;
+    return res;
   } catch (const std::exception& e) {
-    res.ok = false;
+    VerifyResult res;
     res.message = e.what();
+    return res;
   }
-  return res;
-}
-
-store::StoreConfig service_store_config() {
-  // Single store-shard per engine: the service supplies the sharding.
-  // Geometry fits the worst case (kServiceMaxThreads * kServiceKeysPerThread
-  // keys of <=140 bytes all routing to one engine) with heap churn slack.
-  store::StoreConfig cfg;
-  cfg.shards = 1;
-  cfg.buckets_per_shard = 64;
-  cfg.heap_lines_per_shard = 192;
-  return cfg;
-}
-
-ServiceScenario derive_service_scenario(std::uint64_t sweep_seed,
-                                        std::uint64_t index) {
-  ServiceScenario sc;
-  Rng rng(derive_seed(sweep_seed, index, 0x5e41ce));
-  sc.kind = rng.chance(0.5) ? core::DesignKind::kCcNvm
-                            : core::DesignKind::kCcNvmNoDs;
-  sc.trigger = audit::kSweepTriggers[rng.below(audit::kSweepTriggers.size())];
-  sc.threads = 2 + static_cast<std::size_t>(
-                       rng.below(kServiceMaxThreads - 1));  // 2..4
-  sc.ops_per_thread = 12 + static_cast<std::size_t>(rng.below(21));  // 12..32
-  constexpr std::size_t kBatchSizes[5] = {1, 2, 4, 8, 16};
-  sc.max_batch = kBatchSizes[rng.below(5)];
-  constexpr std::uint32_t kGaps[4] = {0, 0, 100, 500};
-  sc.max_delay_us = kGaps[rng.below(4)];
-  const std::uint64_t total_ops = sc.threads * sc.ops_per_thread;
-  const std::uint64_t roll = rng.below(100);
-  if (roll < 20) {
-    sc.kill = ServiceKill::kNone;
-    // Only clean runs fan out across shards: a kill fired from one drain
-    // worker's safe point could catch a second worker mid-line-write,
-    // which would break the kill discipline argued in the file comment.
-    sc.shards = 1 + static_cast<std::size_t>(rng.below(kServiceMaxShards));
-  } else if (roll < 60) {
-    sc.kill = ServiceKill::kMidBatch;
-    sc.kill_target = 1 + rng.below(total_ops);
-  } else {
-    sc.kill = ServiceKill::kAfterBarrier;
-    // Barrier counts depend on batching; aim low so most targets fire.
-    sc.kill_target = 1 + rng.below(total_ops / 2 + 1);
-  }
-  sc.workload_seed = derive_seed(sweep_seed, index, 0x5eed5);
-  return sc;
-}
-
-std::string describe(const ServiceScenario& sc) {
-  std::string s = "service " + std::string(core::design_name(sc.kind)) +
-                  " trigger=" + trigger_name(sc.trigger) +
-                  " shards=" + std::to_string(sc.shards) +
-                  " threads=" + std::to_string(sc.threads) +
-                  " ops/thread=" + std::to_string(sc.ops_per_thread) +
-                  " batch=" + std::to_string(sc.max_batch) +
-                  " gap=" + std::to_string(sc.max_delay_us) + "us";
-  switch (sc.kill) {
-    case ServiceKill::kNone:
-      s += " kill=none";
-      break;
-    case ServiceKill::kMidBatch:
-      s += " kill=mid-batch@" + std::to_string(sc.kill_target);
-      break;
-    case ServiceKill::kAfterBarrier:
-      s += " kill=after-barrier@" + std::to_string(sc.kill_target);
-      break;
-  }
-  return s;
-}
-
-int run_service_worker(const std::string& image_path,
-                       std::uint64_t sweep_seed, std::uint64_t index) {
-  const ServiceScenario sc = derive_service_scenario(sweep_seed, index);
-  // Kill scenarios run one drain worker so the SIGKILL (raised from that
-  // worker's own safe-point hook) can never catch another engine between
-  // retiring two halves of a line write.
-  CCNVM_CHECK_MSG(sc.kill == ServiceKill::kNone || sc.shards == 1,
-                  "crashd service: kill scenarios must be single-shard");
-
-  // Declared before the service so the hooks capturing them outlive the
-  // drain workers.
-  std::atomic<std::uint64_t> applied{0};
-  std::atomic<std::uint64_t> barriers{0};
-
-  service::ServiceConfig cfg = service_scenario_config(sc);
-  cfg.backend_factory = [&image_path](std::size_t shard,
-                                      std::uint64_t capacity_bytes) {
-    // kNone for the same reason as run_worker: SIGKILL keeps the page
-    // cache, which is the crash model this harness relies on.
-    return nvm::FileBackend::create(service_image_path(image_path, shard),
-                                    capacity_bytes,
-                                    nvm::FileBackend::SyncMode::kNone);
-  };
-  if (sc.kill == ServiceKill::kMidBatch) {
-    cfg.after_apply_hook = [&applied, target = sc.kill_target] {
-      if (applied.fetch_add(1) + 1 == target) die_now();
-    };
-  } else if (sc.kill == ServiceKill::kAfterBarrier) {
-    cfg.after_barrier_hook = [&barriers, target = sc.kill_target] {
-      if (barriers.fetch_add(1) + 1 == target) die_now();
-    };
-  }
-
-  // One unbuffered ack log per client thread, all created before any
-  // traffic so the verifier finds every log even after an instant kill.
-  std::vector<int> ack_fds(sc.threads, -1);
-  for (std::size_t t = 0; t < sc.threads; ++t) {
-    ack_fds[t] = ::open(service_ack_path(image_path, t).c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    CCNVM_CHECK_MSG(ack_fds[t] >= 0,
-                    "crashd service worker: cannot create ack log");
-  }
-
-  service::KvService service(cfg);
-
-  std::vector<std::thread> clients;
-  clients.reserve(sc.threads);
-  for (std::size_t t = 0; t < sc.threads; ++t) {
-    clients.emplace_back([&service, &sc, t, fd = ack_fds[t]] {
-      // The service's promise completion already happens after the
-      // barrier (KvService's ack-after-barrier contract); this side-
-      // channel byte re-promises it to the out-of-process verifier.
-      CCNVM_ACK const auto ack = [fd](char c) {
-        CCNVM_CHECK(::write(fd, &c, 1) == 1);
-      };
-      Rng rng(derive_seed(sc.workload_seed, t));
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i < sc.ops_per_thread; ++i) {
-        const KvOp op = generate_service_op(rng, t, sc.trigger, put_tag);
-        switch (op.kind) {
-          case OpKind::kPut:
-            CCNVM_CHECK_MSG(service.put(op.key, op.value).ok,
-                            "crashd service worker: store full");
-            break;
-          case OpKind::kErase:
-            (void)service.erase(op.key);
-            break;
-          case OpKind::kGet:
-            (void)service.get(op.key);
-            break;
-        }
-        ack('A');
-      }
-      ack('C');
-    });
-  }
-  for (std::thread& c : clients) c.join();
-  // Reached when no kill was drawn or the target never fired: quiesce.
-  service.shutdown();
-  for (const int fd : ack_fds) ::close(fd);
-  return 0;
-}
-
-VerifyResult verify_service_scenario(const std::string& image_path,
-                                     std::uint64_t sweep_seed,
-                                     std::uint64_t index) {
-  VerifyResult res;
-  const ServiceScenario sc = derive_service_scenario(sweep_seed, index);
-  try {
-    // --- Per-thread ack logs: what each client was promised. ---
-    std::vector<std::size_t> n_acks(sc.threads, 0);
-    std::vector<bool> clean(sc.threads, false);
-    bool all_clean = true;
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      std::string acks;
-      std::FILE* f =
-          std::fopen(service_ack_path(image_path, t).c_str(), "rb");
-      CCNVM_CHECK_MSG(f != nullptr, "crashd service verify: missing ack log");
-      char buf[4096];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        acks.append(buf, n);
-      }
-      std::fclose(f);
-      clean[t] = !acks.empty() && acks.back() == 'C';
-      n_acks[t] = acks.size() - (clean[t] ? 1 : 0);
-      CCNVM_CHECK_MSG(acks.find_first_not_of('A') ==
-                          (clean[t] ? acks.size() - 1 : std::string::npos),
-                      "crashd service verify: malformed ack log");
-      CCNVM_CHECK_MSG(n_acks[t] <= sc.ops_per_thread,
-                      "crashd service verify: more acks than ops");
-      if (clean[t]) {
-        CCNVM_CHECK_MSG(n_acks[t] == sc.ops_per_thread,
-                        "crashd service verify: clean thread missing acks");
-      }
-      all_clean = all_clean && clean[t];
-      res.acked_ops += n_acks[t];
-    }
-    if (sc.kill == ServiceKill::kNone) {
-      CCNVM_CHECK_MSG(all_clean,
-                      "crashd service verify: worker died in a no-kill run");
-    }
-    res.worker_was_killed = !all_clean;
-
-    // --- Replay each thread's stream (disjoint key namespaces, and a
-    // client submits op i+1 only after op i's ack, so at most ONE
-    // operation per thread is in flight at the kill). ---
-    std::map<std::string, std::string> model;
-    struct InFlight {
-      std::optional<std::string> before;
-      std::optional<std::string> after;
-    };
-    std::map<std::string, InFlight> in_flight;
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      Rng rng(derive_seed(sc.workload_seed, t));
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i <= n_acks[t] && i < sc.ops_per_thread; ++i) {
-        const KvOp op = generate_service_op(rng, t, sc.trigger, put_tag);
-        if (i == n_acks[t]) {
-          if (clean[t]) break;
-          InFlight fl;
-          const auto it = model.find(op.key);
-          fl.before = it == model.end()
-                          ? std::nullopt
-                          : std::optional<std::string>(it->second);
-          switch (op.kind) {
-            case OpKind::kPut:
-              fl.after = op.value;
-              break;
-            case OpKind::kErase:
-              fl.after = std::nullopt;
-              break;
-            case OpKind::kGet:
-              fl.after = fl.before;
-              break;
-          }
-          in_flight[op.key] = std::move(fl);
-          break;
-        }
-        switch (op.kind) {
-          case OpKind::kPut:
-            model[op.key] = op.value;
-            break;
-          case OpKind::kErase:
-            model.erase(op.key);
-            break;
-          case OpKind::kGet:
-            break;
-        }
-      }
-    }
-
-    // --- Reopen every shard engine and hold the union to the model. ---
-    const service::ServiceConfig scfg = service_scenario_config(sc);
-    for (std::size_t s = 0; s < sc.shards; ++s) {
-      auto backend = nvm::FileBackend::open(service_image_path(image_path, s));
-      CCNVM_CHECK_MSG(backend != nullptr,
-                      "crashd service verify: shard image missing");
-      std::uint8_t regs[nvm::Backend::kRegisterCapacity];
-      const std::size_t reg_len = backend->load_registers(regs, sizeof(regs));
-      core::TcbRegisters tcb;
-      CCNVM_CHECK_MSG(core::decode_tcb(regs, reg_len, tcb),
-                      "crashd service verify: shard has no valid TCB blob");
-      nvm::NvmImage image(std::move(backend));
-
-      auto design = core::make_design(
-          sc.kind, service::KvService::engine_design_config(scfg, s));
-      auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
-      CCNVM_CHECK(base != nullptr);
-      audit::InvariantAuditor auditor(
-          audit::InvariantAuditor::Options{.verify_image = true});
-      auditor.attach(*base);
-
-      base->restore_from_power_down(std::move(image), tcb);
-      const core::RecoveryReport report = design->recover();
-      CCNVM_CHECK_MSG(report.clean && report.metadata_recovered,
-                      "crashd service verify: shard recovery not clean");
-
-      store::SecureKvStore kv =
-          store::SecureKvStore::open(*base, scfg.store);
-      std::uint64_t live = 0;
-      for (std::size_t t = 0; t < sc.threads; ++t) {
-        for (std::size_t k = 0; k < kServiceKeysPerThread; ++k) {
-          const std::string key =
-              "sv" + std::to_string(t) + "-" + std::to_string(k);
-          if (service::KvService::shard_of(key, sc.shards) != s) continue;
-          const std::optional<std::string> got = kv.get(key);
-          if (const auto fl = in_flight.find(key); fl != in_flight.end()) {
-            CCNVM_CHECK_MSG(
-                got == fl->second.before || got == fl->second.after,
-                "crashd service verify: in-flight op left a third state");
-          } else if (const auto it = model.find(key); it != model.end()) {
-            CCNVM_CHECK_MSG(
-                got.has_value() && *got == it->second,
-                "crashd service verify: acknowledged operation lost");
-          } else {
-            CCNVM_CHECK_MSG(
-                !got.has_value(),
-                "crashd service verify: erased/unwritten key reappeared");
-          }
-          if (got.has_value()) ++live;
-          ++res.keys_checked;
-        }
-      }
-      CCNVM_CHECK_MSG(kv.size() == live,
-                      "crashd service verify: shard holds spurious entries");
-      res.auditor_checks += auditor.checks_performed();
-    }
-    res.ok = true;
-  } catch (const std::exception& e) {
-    res.ok = false;
-    res.message = e.what();
-  }
-  return res;
-}
-
-store::StoreConfig txn_store_config() {
-  // The service family's per-engine geometry plus a txn journal. Worst
-  // case per engine: every thread's keys routed to it (4 * 8 keys of
-  // <100 bytes = 64 value lines live) plus one prepared txn's staged
-  // copies (8 ops * 2 lines) and in-batch churn — comfortably inside
-  // 192 heap lines.
-  store::StoreConfig cfg = service_store_config();
-  cfg.txn_ops_capacity = 8;
-  return cfg;
-}
-
-TxnScenario derive_txn_scenario(std::uint64_t sweep_seed,
-                                std::uint64_t index) {
-  TxnScenario sc;
-  Rng rng(derive_seed(sweep_seed, index, 0x7a135));
-  sc.kind = rng.chance(0.5) ? core::DesignKind::kCcNvm
-                            : core::DesignKind::kCcNvmNoDs;
-  sc.trigger = audit::kSweepTriggers[rng.below(audit::kSweepTriggers.size())];
-  sc.threads = 2 + static_cast<std::size_t>(
-                       rng.below(kServiceMaxThreads - 1));  // 2..4
-  sc.actions_per_thread = 8 + static_cast<std::size_t>(rng.below(9));  // 8..16
-  constexpr std::size_t kBatchSizes[5] = {1, 2, 4, 8, 16};
-  sc.max_batch = kBatchSizes[rng.below(5)];
-  constexpr std::uint32_t kGaps[4] = {0, 0, 100, 500};
-  sc.max_delay_us = kGaps[rng.below(4)];
-  const std::uint64_t roll = rng.below(100);
-  if (roll < 20) {
-    sc.kill = TxnKill::kNone;
-  } else {
-    sc.kill = TxnKill::kAtWave;
-    sc.kill_wave = static_cast<int>(rng.below(3));
-    // ~60% of actions are txns and most 2-4-op draws over 8 keys span
-    // both shards; aim low so most targets fire before the run drains.
-    sc.kill_target =
-        1 + rng.below(sc.threads * sc.actions_per_thread / 4 + 1);
-  }
-  sc.workload_seed = derive_seed(sweep_seed, index, 0x7a5eed);
-  return sc;
-}
-
-std::string describe(const TxnScenario& sc) {
-  std::string s = "txn " + std::string(core::design_name(sc.kind)) +
-                  " trigger=" + trigger_name(sc.trigger) +
-                  " threads=" + std::to_string(sc.threads) +
-                  " actions/thread=" + std::to_string(sc.actions_per_thread) +
-                  " batch=" + std::to_string(sc.max_batch) +
-                  " gap=" + std::to_string(sc.max_delay_us) + "us";
-  switch (sc.kill) {
-    case TxnKill::kNone:
-      s += " kill=none";
-      break;
-    case TxnKill::kAtWave:
-      s += " kill=wave" + std::to_string(sc.kill_wave) + "@" +
-           std::to_string(sc.kill_target);
-      break;
-  }
-  return s;
-}
-
-int run_txn_worker(const std::string& image_path, std::uint64_t sweep_seed,
-                   std::uint64_t index) {
-  const TxnScenario sc = derive_txn_scenario(sweep_seed, index);
-
-  std::atomic<std::uint64_t> wave_events{0};
-  service::ServiceConfig cfg = txn_scenario_config(sc);
-  cfg.backend_factory = [&image_path](std::size_t shard,
-                                      std::uint64_t capacity_bytes) {
-    return nvm::FileBackend::create(service_image_path(image_path, shard),
-                                    capacity_bytes,
-                                    nvm::FileBackend::SyncMode::kNone);
-  };
-  if (sc.kill == TxnKill::kAtWave) {
-    cfg.txn_wave_hook = [&wave_events, wave = sc.kill_wave,
-                         target = sc.kill_target](int w,
-                                                  std::size_t participants) {
-      // Both-shard commits only: their admission locks park every drain
-      // worker by the time the hook runs on the client thread, so the
-      // SIGKILL raised here cannot catch a half-written line. A
-      // single-shard txn's waves leave the other worker live — skip.
-      if (w != wave || participants < kTxnShards) return;
-      if (wave_events.fetch_add(1) + 1 == target) die_now();
-    };
-  }
-
-  std::vector<int> ack_fds(sc.threads, -1);
-  for (std::size_t t = 0; t < sc.threads; ++t) {
-    ack_fds[t] = ::open(service_ack_path(image_path, t).c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    CCNVM_CHECK_MSG(ack_fds[t] >= 0,
-                    "crashd txn worker: cannot create ack log");
-  }
-
-  service::KvService service(cfg);
-
-  std::vector<std::thread> clients;
-  clients.reserve(sc.threads);
-  for (std::size_t t = 0; t < sc.threads; ++t) {
-    clients.emplace_back([&service, &sc, t, fd = ack_fds[t]] {
-      // 'A' promises a single op, 'T' a whole transaction — submit_txn
-      // returns only after every touched shard's barrier, so the byte
-      // re-promises the all-or-nothing commit to the verifier.
-      CCNVM_ACK const auto ack = [fd](char c) {
-        CCNVM_CHECK(::write(fd, &c, 1) == 1);
-      };
-      Rng rng(derive_seed(sc.workload_seed, t));
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i < sc.actions_per_thread; ++i) {
-        const TxnAction action = generate_txn_action(rng, t, put_tag);
-        if (!action.is_txn) {
-          const KvOp& op = action.ops.front();
-          switch (op.kind) {
-            case OpKind::kPut:
-              CCNVM_CHECK_MSG(service.put(op.key, op.value).ok,
-                              "crashd txn worker: store full");
-              break;
-            case OpKind::kErase:
-              (void)service.erase(op.key);
-              break;
-            case OpKind::kGet:
-              (void)service.get(op.key);
-              break;
-          }
-          ack('A');
-          continue;
-        }
-        std::vector<service::TxnOp> ops;
-        ops.reserve(action.ops.size());
-        for (const KvOp& op : action.ops) {
-          service::TxnOp sub;
-          sub.op = op.kind == OpKind::kPut     ? service::OpType::kPut
-                   : op.kind == OpKind::kErase ? service::OpType::kErase
-                                               : service::OpType::kGet;
-          sub.key = op.key;
-          sub.value = op.value;
-          ops.push_back(std::move(sub));
-        }
-        CCNVM_CHECK_MSG(service.submit_txn(ops).committed,
-                        "crashd txn worker: txn aborted");
-        ack('T');
-      }
-      ack('C');
-    });
-  }
-  for (std::thread& c : clients) c.join();
-  // Reached when no kill was drawn or the target never fired: quiesce.
-  service.shutdown();
-  for (const int fd : ack_fds) ::close(fd);
-  return 0;
-}
-
-VerifyResult verify_txn_scenario(const std::string& image_path,
-                                 std::uint64_t sweep_seed,
-                                 std::uint64_t index) {
-  VerifyResult res;
-  const TxnScenario sc = derive_txn_scenario(sweep_seed, index);
-  try {
-    // --- Per-thread ack logs: 'A' single, 'T' txn, trailing 'C'. ---
-    std::vector<std::string> acks(sc.threads);
-    std::vector<std::size_t> n_acks(sc.threads, 0);
-    std::vector<bool> clean(sc.threads, false);
-    bool all_clean = true;
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      std::FILE* f = std::fopen(service_ack_path(image_path, t).c_str(), "rb");
-      CCNVM_CHECK_MSG(f != nullptr, "crashd txn verify: missing ack log");
-      char buf[4096];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        acks[t].append(buf, n);
-      }
-      std::fclose(f);
-      clean[t] = !acks[t].empty() && acks[t].back() == 'C';
-      n_acks[t] = acks[t].size() - (clean[t] ? 1 : 0);
-      CCNVM_CHECK_MSG(acks[t].find_first_not_of("AT") ==
-                          (clean[t] ? acks[t].size() - 1 : std::string::npos),
-                      "crashd txn verify: malformed ack log");
-      CCNVM_CHECK_MSG(n_acks[t] <= sc.actions_per_thread,
-                      "crashd txn verify: more acks than actions");
-      if (clean[t]) {
-        CCNVM_CHECK_MSG(n_acks[t] == sc.actions_per_thread,
-                        "crashd txn verify: clean thread missing acks");
-      }
-      all_clean = all_clean && clean[t];
-      res.acked_ops += n_acks[t];
-    }
-    if (sc.kill == TxnKill::kNone) {
-      CCNVM_CHECK_MSG(all_clean,
-                      "crashd txn verify: worker died in a no-kill run");
-    }
-    res.worker_was_killed = !all_clean;
-
-    // --- Replay each thread's acked prefix (disjoint key namespaces;
-    // a client submits action i+1 only after action i's ack, so at most
-    // ONE unit — single op or whole txn — per thread is in flight). ---
-    std::map<std::string, std::string> model;
-    // The in-flight unit's buffered after-state per key (last sub-op
-    // wins, nullopt = erase; reads contribute nothing).
-    std::vector<std::map<std::string, std::optional<std::string>>> in_flight;
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      Rng rng(derive_seed(sc.workload_seed, t));
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i <= n_acks[t] && i < sc.actions_per_thread;
-           ++i) {
-        const TxnAction action = generate_txn_action(rng, t, put_tag);
-        if (i == n_acks[t]) {
-          if (clean[t]) break;
-          std::map<std::string, std::optional<std::string>> effect;
-          for (const KvOp& op : action.ops) {
-            if (op.kind == OpKind::kGet) continue;
-            effect[op.key] = op.kind == OpKind::kPut
-                                 ? std::optional<std::string>(op.value)
-                                 : std::nullopt;
-          }
-          if (!effect.empty()) in_flight.push_back(std::move(effect));
-          break;
-        }
-        CCNVM_CHECK_MSG(
-            acks[t][i] == (action.is_txn ? 'T' : 'A'),
-            "crashd txn verify: ack log kind disagrees with the stream");
-        for (const KvOp& op : action.ops) {
-          switch (op.kind) {
-            case OpKind::kPut:
-              model[op.key] = op.value;
-              break;
-            case OpKind::kErase:
-              model.erase(op.key);
-              break;
-            case OpKind::kGet:
-              break;
-          }
-        }
-      }
-    }
-
-    // --- Reopen shard 0 first — the coordinator of every cross-shard
-    // txn (lowest participant), so its decision line is available when
-    // shard 1's journal resolves — then shard 1 with the resolver. ---
-    const service::ServiceConfig scfg = txn_scenario_config(sc);
-    std::vector<std::unique_ptr<core::SecureNvmDesign>> designs;
-    std::vector<core::SecureNvmBase*> bases;
-    std::vector<std::unique_ptr<audit::InvariantAuditor>> auditors;
-    for (std::size_t s = 0; s < kTxnShards; ++s) {
-      auto backend = nvm::FileBackend::open(service_image_path(image_path, s));
-      CCNVM_CHECK_MSG(backend != nullptr,
-                      "crashd txn verify: shard image missing");
-      std::uint8_t regs[nvm::Backend::kRegisterCapacity];
-      const std::size_t reg_len = backend->load_registers(regs, sizeof(regs));
-      core::TcbRegisters tcb;
-      CCNVM_CHECK_MSG(core::decode_tcb(regs, reg_len, tcb),
-                      "crashd txn verify: shard has no valid TCB blob");
-      nvm::NvmImage image(std::move(backend));
-
-      designs.push_back(core::make_design(
-          sc.kind, service::KvService::engine_design_config(scfg, s)));
-      auto* base = dynamic_cast<core::SecureNvmBase*>(designs.back().get());
-      CCNVM_CHECK(base != nullptr);
-      bases.push_back(base);
-      auditors.push_back(std::make_unique<audit::InvariantAuditor>(
-          audit::InvariantAuditor::Options{.verify_image = true}));
-      auditors.back()->attach(*base);
-
-      base->restore_from_power_down(std::move(image), tcb);
-      const core::RecoveryReport report = designs.back()->recover();
-      CCNVM_CHECK_MSG(report.clean && report.metadata_recovered,
-                      "crashd txn verify: shard recovery not clean");
-    }
-    std::vector<store::SecureKvStore> stores;
-    stores.reserve(kTxnShards);
-    stores.push_back(store::SecureKvStore::open(*bases[0], scfg.store));
-    stores.push_back(store::SecureKvStore::open(
-        *bases[1], scfg.store,
-        [&stores](std::uint64_t txn_id, std::uint32_t coordinator) {
-          // coordinator 1 = a self-coordinated txn whose own decision
-          // line already failed to answer — undecided, presumed abort.
-          return coordinator == 0 &&
-                 stores[0].last_txn_decision() ==
-                     std::optional<std::uint64_t>(txn_id);
-        }));
-
-    // --- The txn contract on the union of both shards. ---
-    // First resolve every in-flight unit all-or-nothing; applied units
-    // join the model, rolled-back ones leave it untouched. Units are
-    // key-disjoint (per-thread namespaces), so resolution order is
-    // irrelevant.
-    const auto get_at = [&](const std::string& key) {
-      const std::size_t s = service::KvService::shard_of(key, kTxnShards);
-      return stores[s].get(key);
-    };
-    for (const auto& effect : in_flight) {
-      std::size_t applied = 0;
-      std::size_t rolled_back = 0;
-      for (const auto& [key, after] : effect) {
-        const auto it = model.find(key);
-        const std::optional<std::string> before =
-            it == model.end() ? std::nullopt
-                              : std::optional<std::string>(it->second);
-        if (after == before) continue;  // e.g. erase of an absent key
-        const std::optional<std::string> got = get_at(key);
-        if (got == after) {
-          ++applied;
-        } else if (got == before) {
-          ++rolled_back;
-        } else {
-          CCNVM_CHECK_MSG(false,
-                          "crashd txn verify: in-flight unit left a third "
-                          "state");
-        }
-      }
-      CCNVM_CHECK_MSG(
-          applied == 0 || rolled_back == 0,
-          "crashd txn verify: torn in-flight transaction after the kill");
-      if (applied > 0) {
-        for (const auto& [key, after] : effect) {
-          if (after) {
-            model[key] = *after;
-          } else {
-            model.erase(key);
-          }
-        }
-      }
-    }
-    // Every acked action (resolved in-flight units included) must read
-    // back exactly, and neither shard may hold spurious entries.
-    std::vector<std::uint64_t> live(kTxnShards, 0);
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      for (std::size_t k = 0; k < kTxnKeysPerThread; ++k) {
-        const std::string key = txn_key(t, k);
-        const std::optional<std::string> got = get_at(key);
-        if (const auto it = model.find(key); it != model.end()) {
-          CCNVM_CHECK_MSG(got.has_value() && *got == it->second,
-                          "crashd txn verify: acknowledged effect lost");
-        } else {
-          CCNVM_CHECK_MSG(
-              !got.has_value(),
-              "crashd txn verify: erased/unwritten key reappeared");
-        }
-        if (got.has_value()) {
-          ++live[service::KvService::shard_of(key, kTxnShards)];
-        }
-        ++res.keys_checked;
-      }
-    }
-    for (std::size_t s = 0; s < kTxnShards; ++s) {
-      CCNVM_CHECK_MSG(stores[s].size() == live[s],
-                      "crashd txn verify: shard holds spurious entries");
-      res.auditor_checks += auditors[s]->checks_performed();
-    }
-    res.ok = true;
-  } catch (const std::exception& e) {
-    res.ok = false;
-    res.message = e.what();
-  }
-  return res;
 }
 
 SweepResult run_sweep(const SweepConfig& config) {
-  DesignPin pin_storage;
-  const DesignPin* pin = nullptr;
-  if (!config.design.empty()) {
-    SweepResult invalid;
-    invalid.scenarios = 0;
-    if (config.service || config.txn) {
-      invalid.failures.push_back(
-          "--design pins are single-threaded-family only; drop "
-          "--service/--txn");
-      return invalid;
-    }
-    if (!parse_design_pin(config.design, pin_storage)) {
-      invalid.failures.push_back("unknown or unsupported design pin '" +
-                                 config.design + "'");
-      return invalid;
-    }
-    pin = &pin_storage;
+  SweepResult sweep;
+  std::optional<DesignPin> pin;
+  if (std::string error = resolve_pin(config.family, config.design, pin);
+      !error.empty()) {
+    sweep.failures.push_back(std::move(error));
+    return sweep;
   }
+  const FamilyRow& row = row_of(config.family);
   std::string worker_exe =
       config.worker_exe.empty() ? "/proc/self/exe" : config.worker_exe;
   std::string dir = config.work_dir;
@@ -1303,6 +954,7 @@ SweepResult run_sweep(const SweepConfig& config) {
   }
 
   struct PerScenario {
+    Scenario scenario;
     bool killed = false;
     bool clean = false;
     VerifyResult verify;
@@ -1317,22 +969,15 @@ SweepResult run_sweep(const SweepConfig& config) {
       static_cast<std::size_t>(config.scenarios), config.jobs,
       [&](std::size_t i) {
         PerScenario out;
+        out.scenario = derive_scenario(config.family, config.seed, i,
+                                       pin ? &*pin : nullptr);
         const std::string image = dir + "/img-" + std::to_string(i);
-        std::vector<std::string> args = {
-            worker_exe,
-            "crashd",
-            "worker",
-            "--image=" + image,
-            "--seed=" + std::to_string(config.seed),
-            "--index=" + std::to_string(i),
-        };
-        if (config.txn) {
-          args.insert(args.begin() + 3, "--txn");
-        } else if (config.service) {
-          args.insert(args.begin() + 3, "--service");
-        } else if (pin != nullptr) {
-          args.insert(args.begin() + 3, "--design=" + config.design);
-        }
+        std::vector<std::string> args = {worker_exe, "crashd", "worker"};
+        if (row.flag != nullptr) args.emplace_back(row.flag);
+        if (pin) args.push_back("--design=" + config.design);
+        args.push_back("--image=" + image);
+        args.push_back("--seed=" + std::to_string(config.seed));
+        args.push_back("--index=" + std::to_string(i));
         std::vector<char*> argv;
         argv.reserve(args.size() + 1);
         for (std::string& a : args) argv.push_back(a.data());
@@ -1364,45 +1009,23 @@ SweepResult run_sweep(const SweepConfig& config) {
               std::to_string(status) + ")";
           return out;
         }
-        out.verify =
-            config.txn ? verify_txn_scenario(image, config.seed, i)
-            : config.service
-                ? verify_service_scenario(image, config.seed, i)
-                : verify_scenario(image, config.seed, i, pin);
+        out.verify = verify_scenario(image, out.scenario);
         if (out.verify.ok && out.verify.worker_was_killed != out.killed) {
           out.verify.ok = false;
           out.verify.message = "ack log disagrees with the wait status";
         }
         if (!config.keep_files) {
-          if (config.service || config.txn) {
-            for (std::size_t s = 0; s < kServiceMaxShards; ++s) {
-              std::remove(service_image_path(image, s).c_str());
-            }
-            for (std::size_t t = 0; t < kServiceMaxThreads; ++t) {
-              std::remove(service_ack_path(image, t).c_str());
-            }
-          } else {
-            std::remove(image.c_str());
-            std::remove(ack_path(image).c_str());
+          for (const std::string& f : scenario_files(image, out.scenario)) {
+            std::remove(f.c_str());
           }
         }
         return out;
       });
 
-  SweepResult sweep;
   sweep.scenarios = config.scenarios;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PerScenario& r = results[i];
-    std::string desc;
-    if (config.txn) {
-      desc = describe(derive_txn_scenario(config.seed, i));
-    } else if (config.service) {
-      desc = describe(derive_service_scenario(config.seed, i));
-    } else {
-      const Scenario sc = derive_scenario(config.seed, i, pin);
-      if (sc.kill == KillMode::kAttack) ++sweep.attack_scenarios;
-      desc = describe(sc);
-    }
+    if (r.scenario.kill == Kill::kAttack) ++sweep.attack_scenarios;
     if (r.killed) ++sweep.killed;
     if (r.clean) ++sweep.clean_exits;
     sweep.acked_ops += r.verify.acked_ops;
@@ -1411,11 +1034,100 @@ SweepResult run_sweep(const SweepConfig& config) {
       const std::string& why =
           !r.spawn_error.empty() ? r.spawn_error : r.verify.message;
       sweep.failures.push_back("scenario " + std::to_string(i) + " [" +
-                               desc + "]: " + why);
+                               describe(r.scenario) + "]: " + why);
     }
   }
   if (made_dir && !config.keep_files) ::rmdir(dir.c_str());
   return sweep;
+}
+
+std::optional<Command> parse_command(const std::vector<std::string>& args,
+                                     std::string& error) {
+  error.clear();
+  if (args.empty()) return std::nullopt;
+  Command cmd;
+  if (args[0] == "sweep") {
+    cmd.sub = Command::Sub::kSweep;
+  } else if (args[0] == "worker") {
+    cmd.sub = Command::Sub::kWorker;
+  } else if (args[0] == "verify") {
+    cmd.sub = Command::Sub::kVerify;
+  } else {
+    return std::nullopt;
+  }
+  // A sweep names no single scenario; a worker/verify run has no sweep to
+  // size, place or keep.
+  const bool sweep = cmd.sub == Command::Sub::kSweep;
+  const auto stray = [&](const std::string& arg) {
+    error = "'" + arg + "' does not apply to crashd " + args[0];
+    return std::optional<Command>();
+  };
+  bool family_set = false;
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const std::optional<std::string> value =
+        eq == std::string::npos ? std::nullopt
+                                : std::optional<std::string>(arg.substr(eq + 1));
+    const auto number = [&value] {
+      return value ? parse_u64(*value) : std::nullopt;
+    };
+    const auto selector =
+        std::find_if(std::begin(kFamilies), std::end(kFamilies),
+                     [&arg](const FamilyRow& row) {
+                       return row.flag != nullptr && arg == row.flag;
+                     });
+    if (selector != std::end(kFamilies)) {
+      if (family_set && cmd.sweep.family != selector->family) {
+        error = "choose at most one scenario family";
+        return std::nullopt;
+      }
+      cmd.sweep.family = selector->family;
+      family_set = true;
+    } else if (flag == "--seed") {
+      const auto n = number();
+      if (!n) return std::nullopt;
+      cmd.sweep.seed = *n;
+    } else if (flag == "--design" && value) {
+      cmd.sweep.design = *value;
+    } else if (flag == "--scenarios") {
+      if (!sweep) return stray(arg);
+      const auto n = number();
+      if (!n) return std::nullopt;
+      cmd.sweep.scenarios = *n;
+    } else if (flag == "--jobs") {
+      if (!sweep) return stray(arg);
+      const auto n = number();
+      if (!n) return std::nullopt;
+      cmd.sweep.jobs = static_cast<std::size_t>(*n);
+    } else if (flag == "--dir" && value) {
+      if (!sweep) return stray(arg);
+      cmd.sweep.work_dir = *value;
+    } else if (arg == "--keep") {
+      if (!sweep) return stray(arg);
+      cmd.sweep.keep_files = true;
+    } else if (flag == "--image" && value) {
+      if (sweep) return stray(arg);
+      cmd.image = *value;
+    } else if (flag == "--index") {
+      if (sweep) return stray(arg);
+      const auto n = number();
+      if (!n) return std::nullopt;
+      cmd.index = *n;
+    } else {
+      return std::nullopt;
+    }
+  }
+  if (!sweep && cmd.image.empty()) return std::nullopt;
+  std::optional<DesignPin> pin;
+  error = resolve_pin(cmd.sweep.family, cmd.sweep.design, pin);
+  if (!error.empty()) return std::nullopt;
+  if (!sweep) {
+    cmd.scenario = derive_scenario(cmd.sweep.family, cmd.sweep.seed,
+                                   cmd.index, pin ? &*pin : nullptr);
+  }
+  return cmd;
 }
 
 }  // namespace ccnvm::crashd

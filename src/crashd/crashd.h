@@ -3,22 +3,20 @@
 // Everything the in-process sweeps test is simulated: DrainCrashPoint
 // unwinds the stack, the NvmImage stays in the same heap, and nothing
 // ever actually dies. crashd closes that gap. A *worker process* runs KV
-// traffic on a design whose NvmImage lives in an mmap'ed file
-// (nvm::FileBackend) and SIGKILLs itself at a scenario-chosen moment —
-// at an operation boundary, after applying-but-before-acknowledging an
-// operation, or inside a drain at one of the §4.2 crash windows (via
-// CcNvmDesign's power-loss hook, which fires at the exact armed point).
-// A *verifier* (fresh process or at least a fresh design) then reopens
-// the image file, restores the mirrored TCB registers, runs recovery
+// traffic on designs whose NvmImages live in mmap'ed files
+// (nvm::FileBackend) and SIGKILLs itself at a scenario-chosen moment.
+// A *verifier* (fresh process or at least fresh designs) then reopens
+// every image file, restores the mirrored TCB registers, runs recovery
 // with the PR-1 invariant auditor attached, and checks:
 //
-//   * recovery is clean and every *acknowledged* operation (one byte in
-//     an unbuffered side-channel ack log, written only after the KV op
-//     returned) reads back exactly;
-//   * the single unacknowledged in-flight operation surfaces as its old
-//     or new state, never a third one;
+//   * recovery is clean and every *acknowledged* action (one byte in an
+//     unbuffered side-channel ack log per client, written only after the
+//     action returned) reads back exactly;
+//   * the at-most-one unacknowledged in-flight action per client surfaces
+//     all-or-nothing, as its old or its new state, never a third one;
 //   * zero auditor violations (I1-I8 on the crash state and the
 //     recovered state, including full image-vs-roots verification);
+//   * no engine holds spurious entries;
 //   * on attack scenarios, a deliberately corrupted data line in the
 //     image is detected AND located per §4.4.
 //
@@ -28,245 +26,163 @@
 // holds exactly the prefix of NVM line writes (in program order) that
 // the victim completed — the paper's power-cut ordering model, §4.2's
 // "ADR drains the WPQ" included, because the model performs those
-// writes before the kill point fires.
+// writes before the kill point fires. Every kill therefore fires where
+// no other thread can be halfway through a line write.
 //
-// Determinism: a scenario is fully derived from (sweep_seed, index), so
-// worker and verifier — different processes — reconstruct the identical
-// operation stream, and any failure replays standalone via
-// `ccnvm crashd worker/verify --seed=S --index=I`.
+// Scenario families. One worker/verifier core serves three families,
+// each one row of the family table in crashd.cpp (docs/BACKENDS.md):
+//
+//   op       one client straight on a SecureKvStore; kills at an op
+//            boundary, after applying but before acknowledging an op, or
+//            inside a drain at one of the §4.2 crash windows (via
+//            CcNvmDesign's power-loss hook); plus attack scenarios.
+//   service  2-4 blocking client threads on a service::KvService; kills
+//            from the drain worker's safe-point hooks (mid-batch or
+//            after a barrier, before its acks) with requests in flight.
+//   txn      2-4 client threads issuing single ops and 2-4-op
+//            transactions over a two-shard KvService; kills at a 2PC wave
+//            boundary of a both-shard commit (after the prepares, the
+//            decision or the finalizes), where the committing txn holds
+//            both shards' admission locks and so parks every drain
+//            worker.
+//
+// Determinism: a scenario is fully derived from (family, sweep_seed,
+// index[, design pin]), so worker and verifier — different processes —
+// reconstruct the identical action streams, and any failure replays
+// standalone via `ccnvm crashd worker/verify --seed=S --index=I`.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/design.h"
 #include "core/protocol_observer.h"
-#include "store/kv_store.h"
 
 namespace ccnvm::crashd {
 
+/// The scenario families (see the file comment).
+enum class Family { kOp, kService, kTxn };
+
 /// When (if at all) the worker raises SIGKILL on itself.
-enum class KillMode {
-  kNone,        // run to a clean quiesced shutdown
-  kOpBoundary,  // after acknowledging operation `kill_op`
-  kBeforeAck,   // after *applying* operation `kill_op`, before its ack
-  kDrainPhase,  // inside drain #target_drain at `phase` (§4.2 window)
-  kAttack,      // clean run; the verifier then corrupts the image
+enum class Kill {
+  kNone,          // run to a clean quiesced shutdown
+  kAttack,        // op: clean run; the verifier then corrupts the image
+  kOpBoundary,    // op: after acknowledging op `kill_at`
+  kBeforeAck,     // op: after *applying* op `kill_at`, before its ack
+  kDrainPhase,    // op: inside a drain at `phase` (§4.2 window)
+  kMidBatch,      // service: after the kill_at-th applied request
+  kAfterBarrier,  // service: after the kill_at-th barrier, before its acks
+  kAtWave,        // txn: at wave `kill_wave` of the kill_at-th commit
 };
 
 struct Scenario {
+  Family family = Family::kOp;
   core::DesignKind kind = core::DesignKind::kCcNvm;
-  core::DrainTrigger trigger = core::DrainTrigger::kExplicit;
-  KillMode kill = KillMode::kNone;
-  core::DrainCrashPoint phase = core::DrainCrashPoint::kNone;
-  /// kDrainPhase: arm once `target_drain` drains have already committed,
-  /// so the kill lands in the (target_drain+1)-th drain of the run.
-  std::uint64_t target_drain = 0;
-  std::size_t kill_op = 0;  // kOpBoundary / kBeforeAck
-  std::size_t ops = 0;
-  std::uint64_t workload_seed = 0;
   std::uint32_t persist_level = 1;  // Triad-NVM frontier (pin only)
+  core::DrainTrigger trigger = core::DrainTrigger::kExplicit;
+  /// Engines, one image file each. Service kill scenarios use one (a
+  /// SIGKILL from one drain worker's safe point must not catch a second
+  /// worker mid-line-write); the txn family always uses two.
+  std::size_t shards = 1;
+  std::size_t threads = 1;  // client threads, one ack log each
+  std::size_t actions = 0;  // per client; an action is one op or one txn
+  std::size_t max_batch = 8;        // service/txn group commit
+  std::uint32_t max_delay_us = 0;   // service/txn straggler gap
+  Kill kill = Kill::kNone;
+  /// Where the kill fires. kOpBoundary/kBeforeAck: the op index.
+  /// kDrainPhase: arm once this many drains have committed, so the kill
+  /// lands in the next one. kMidBatch/kAfterBarrier/kAtWave: the 1-based
+  /// ordinal of the applied request / barrier / both-shard wave event; a
+  /// target past the run's end degrades to a clean run.
+  std::uint64_t kill_at = 0;
+  core::DrainCrashPoint phase = core::DrainCrashPoint::kNone;  // kDrainPhase
+  /// kAtWave: 0 = prepares acked (before the decision), 1 = decision
+  /// acked (before the finalizes), 2 = finalizes acked (before the
+  /// client's ack byte).
+  int kill_wave = 0;
+  std::uint64_t workload_seed = 0;
+  std::uint64_t attack_seed = 0;  // kAttack: which bit of which data line
 };
 
-/// Pins every scenario of the single-threaded family to one design —
-/// how the baselines CI lane runs its per-design kill-9 sweeps.
-struct DesignPin {
-  core::DesignKind kind = core::DesignKind::kCcNvm;
-  std::uint32_t persist_level = 1;  // Triad-NVM frontier
-};
+/// Pins every op-family scenario to one design — how the baselines CI
+/// lane runs its per-design kill-9 sweeps.
+using DesignPin = core::DesignSpec;
 
-/// Parses "ccnvm", "ccnvm-nods", "triad", "triad-n<K>" (frontier K) or
-/// "phoenix" into a pin. Rejects (returns false) unknown names and the
-/// designs crashd cannot honestly verify out-of-process: wocc (recovery
+/// core::parse_design, narrowed to the designs crashd can pin: ccnvm,
+/// ccnvm-nods, triad[-nK] and phoenix. Rejects the rest: wocc (recovery
 /// is supposed to fail), ccnvm-plus (its per-block update registers are
 /// process state, not mirrored into the backend), sc/osiris (no pinned
 /// sweep demand — the in-process matrix covers them).
-bool parse_design_pin(const std::string& name, DesignPin& pin);
+std::optional<DesignPin> parse_design_pin(const std::string& name);
 
-/// The deterministic scenario for (sweep_seed, index) — the single
-/// source both processes derive from. A pin overrides only the design
-/// (and remaps drain-window kills, which need a draining design, to a
-/// deterministic op-boundary kill); the op stream, kill density and
-/// workload seeds stay identical across pins so sweeps are comparable.
-Scenario derive_scenario(std::uint64_t sweep_seed, std::uint64_t index,
+/// The deterministic scenario for (family, sweep_seed, index). A pin
+/// (op family only) overrides only the design, and remaps drain-window
+/// kills, which need a draining design, to a deterministic op-boundary
+/// kill; the op stream, kill density and workload seeds stay identical
+/// across pins so sweeps are comparable.
+Scenario derive_scenario(Family family, std::uint64_t sweep_seed,
+                         std::uint64_t index,
                          const DesignPin* pin = nullptr);
 
 std::string describe(const Scenario& scenario);
 
-/// KV geometry of every crashd scenario (matches the crash fuzz engine).
-store::StoreConfig crashd_store_config();
+enum class OpKind { kPut, kErase, kGet };
 
-/// Runs the worker side against `image_path` (plus `image_path + ".ack"`
-/// for the ack log). Kill scenarios do not return — the process dies by
-/// SIGKILL at the scenario's point. Clean scenarios return 0.
-int run_worker(const std::string& image_path, std::uint64_t sweep_seed,
-               std::uint64_t index, const DesignPin* pin = nullptr);
+struct KvOp {
+  OpKind kind = OpKind::kGet;
+  std::string key;
+  std::string value;  // kPut only
+};
+
+/// One client action: a single op (acknowledged 'A') or a whole
+/// transaction (one submit_txn, acknowledged 'T').
+struct Action {
+  bool is_txn = false;
+  std::vector<KvOp> ops;  // one entry for a single op, 2..4 for a txn
+};
+
+/// Client `thread`'s deterministic action stream (`scenario.actions`
+/// entries) — what the worker drives and the verifier replays. Key
+/// namespaces are disjoint per client, and put values are tagged by
+/// client, so a cross-client mixup cannot pass as a correct read-back.
+std::vector<Action> client_actions(const Scenario& scenario,
+                                   std::size_t thread);
+
+/// Every file a worker for `scenario` creates under `image_path`: the
+/// shard images, then the per-client ack logs.
+std::vector<std::string> scenario_files(const std::string& image_path,
+                                        const Scenario& scenario);
+
+/// Runs the worker side against `image_path`. Kill scenarios do not
+/// return — the process dies by SIGKILL at the scenario's point. Clean
+/// scenarios return 0.
+int run_worker(const std::string& image_path, const Scenario& scenario);
 
 struct VerifyResult {
   bool ok = false;
   std::string message;       // on failure
   bool worker_was_killed = false;
-  std::uint64_t acked_ops = 0;
+  std::uint64_t acked_ops = 0;  // acknowledged actions
   std::uint64_t keys_checked = 0;
   std::uint64_t auditor_checks = 0;
   bool attack_checked = false;
 };
 
-/// Verifies the image a (possibly killed) worker left behind. Requires a
+/// Verifies the images a (possibly killed) worker left behind. Requires a
 /// common::CheckThrowScope in the caller (auditor violations and lost
-/// ops surface as CheckFailure and are converted into a failed result).
+/// actions surface as CheckFailure and are converted into a failed
+/// result).
 VerifyResult verify_scenario(const std::string& image_path,
-                             std::uint64_t sweep_seed, std::uint64_t index,
-                             const DesignPin* pin = nullptr);
-
-// ---- Service scenario family -------------------------------------------
-//
-// The multithreaded sibling of the family above: the worker process runs
-// a service::KvService (per-shard MPSC queues, group-commit drain
-// workers) with several blocking client threads, and SIGKILL lands while
-// requests are in flight across all of them — queued, mid-batch, or
-// applied-and-barriered but not yet acknowledged. Kills fire from the
-// drain worker's safe-point hooks (between complete store operations),
-// preserving the line-write-boundary kill discipline the file comment
-// above argues for. Each client thread owns an unbuffered ack log
-// (`image + ".ack.t<t>"`), each shard engine its own image
-// (`image + ".s<s>"`); the verifier reopens every shard, recovers it
-// under the auditor, and holds the union to the service's
-// ack-after-barrier contract: every acknowledged operation reads back
-// exactly, at most one unacknowledged in-flight operation per thread
-// surfaces as old or new state, and no shard holds spurious entries.
-
-/// When (if at all) the service worker dies. All kills fire at drain-
-/// worker safe points, with the client threads at arbitrary progress.
-enum class ServiceKill {
-  kNone,          // clean quiesced shutdown (may use multiple shards)
-  kMidBatch,      // after the kill_target-th applied request, pre-barrier
-  kAfterBarrier,  // after the kill_target-th barrier, before its acks
-};
-
-struct ServiceScenario {
-  core::DesignKind kind = core::DesignKind::kCcNvm;
-  core::DrainTrigger trigger = core::DrainTrigger::kExplicit;
-  std::size_t shards = 1;  // kill scenarios always 1 (see run_service_worker)
-  std::size_t threads = 2;
-  std::size_t ops_per_thread = 16;
-  std::size_t max_batch = 8;
-  std::uint32_t max_delay_us = 0;  // group-commit straggler gap
-  ServiceKill kill = ServiceKill::kNone;
-  /// kMidBatch: global applied-request count; kAfterBarrier: global
-  /// barrier count. A target past the run's end degrades to a clean run.
-  std::uint64_t kill_target = 0;
-  std::uint64_t workload_seed = 0;
-};
-
-/// The deterministic service scenario for (sweep_seed, index).
-ServiceScenario derive_service_scenario(std::uint64_t sweep_seed,
-                                        std::uint64_t index);
-
-std::string describe(const ServiceScenario& scenario);
-
-/// Per-engine KV geometry of every service scenario (the service layers
-/// its own sharding on top, so the store itself stays single-shard).
-store::StoreConfig service_store_config();
-
-/// Runs the service worker side: shard images at `image_path + ".s<s>"`,
-/// per-thread ack logs at `image_path + ".ack.t<t>"`. Kill scenarios do
-/// not return. Clean scenarios return 0.
-int run_service_worker(const std::string& image_path,
-                       std::uint64_t sweep_seed, std::uint64_t index);
-
-/// Verifies every shard image a (possibly killed) service worker left
-/// behind. Same CheckThrowScope requirement as verify_scenario.
-VerifyResult verify_service_scenario(const std::string& image_path,
-                                     std::uint64_t sweep_seed,
-                                     std::uint64_t index);
-
-// ---- Txn scenario family -----------------------------------------------
-//
-// Kill-9 sweeps for the multi-key transaction protocol (see
-// KvService::submit_txn): client threads issue a mix of single ops and
-// 2-4-op transactions against a TWO-shard service, and SIGKILL lands at a
-// 2PC wave boundary of a commit that spans both shards — after the
-// prepare barriers, after the coordinator's decision barrier, or after
-// the finalize barriers. These are exactly the windows where a
-// distributed commit can tear, and they are also legitimate kill points:
-// the committing txn holds BOTH shards' admission locks across its waves,
-// so when its wave hook fires on the client thread every drain worker is
-// parked on an empty queue — no line write can be caught halfway. (That
-// is why the hook only pulls the trigger on both-shard commits; a
-// single-shard txn's waves leave the other shard's worker live, the same
-// reason the service family above restricts kills to one shard.)
-//
-// The verifier reopens shard 0 first — the coordinator of every
-// cross-shard txn (lowest participant) — then shard 1 with a TxnResolver
-// over shard 0's decision line, and holds the union to the txn contract:
-// every *acknowledged* transaction reads back in full, the at-most-one
-// unacknowledged in-flight unit per thread surfaces all-or-nothing
-// (never partially applied), and no shard holds spurious entries.
-
-/// When (if at all) the txn worker dies. Always fires on the client
-/// thread driving a both-shard commit, at a wave boundary.
-enum class TxnKill {
-  kNone,    // clean quiesced shutdown
-  kAtWave,  // at wave `kill_wave` of the kill_target-th both-shard commit
-};
-
-/// Shard count is fixed at 2 for the whole family (the smallest count
-/// with a distributed commit; also the only one where a both-shard txn's
-/// locks silence EVERY drain worker, making wave kills safe).
-struct TxnScenario {
-  core::DesignKind kind = core::DesignKind::kCcNvm;
-  core::DrainTrigger trigger = core::DrainTrigger::kExplicit;
-  std::size_t threads = 2;             // 2..4 client threads
-  std::size_t actions_per_thread = 8;  // each = one single op or one txn
-  std::size_t max_batch = 8;
-  std::uint32_t max_delay_us = 0;
-  TxnKill kill = TxnKill::kNone;
-  /// kAtWave: 0 = prepares acked (before the decision), 1 = decision
-  /// acked (before the finalizes), 2 = finalizes acked (before the
-  /// client's ack byte).
-  int kill_wave = 0;
-  /// kAtWave: ordinal of the both-shard wave event that dies. A target
-  /// past the run's end degrades to a clean run.
-  std::uint64_t kill_target = 0;
-  std::uint64_t workload_seed = 0;
-};
-
-/// The deterministic txn scenario for (sweep_seed, index).
-TxnScenario derive_txn_scenario(std::uint64_t sweep_seed,
-                                std::uint64_t index);
-
-std::string describe(const TxnScenario& scenario);
-
-/// Per-engine KV geometry of every txn scenario: the service family's
-/// geometry plus a txn journal (txn_ops_capacity > 0).
-store::StoreConfig txn_store_config();
-
-/// Runs the txn worker side: shard images and per-thread ack logs use
-/// the same paths as the service family. Kill scenarios do not return.
-int run_txn_worker(const std::string& image_path, std::uint64_t sweep_seed,
-                   std::uint64_t index);
-
-/// Verifies both shard images a (possibly killed) txn worker left
-/// behind. Same CheckThrowScope requirement as verify_scenario.
-VerifyResult verify_txn_scenario(const std::string& image_path,
-                                 std::uint64_t sweep_seed,
-                                 std::uint64_t index);
+                             const Scenario& scenario);
 
 struct SweepConfig {
+  Family family = Family::kOp;
   std::uint64_t seed = 1;
   std::uint64_t scenarios = 200;
-  /// Run the service scenario family (multithreaded KvService workers)
-  /// instead of the single-threaded one.
-  bool service = false;
-  /// Run the txn scenario family (multi-key transactions over a 2-shard
-  /// KvService, kills at 2PC wave boundaries). Mutually exclusive with
-  /// `service`.
-  bool txn = false;
   /// Pin every scenario to one design (see parse_design_pin). Empty =
-  /// the default cc mix. Single-threaded family only — combining a pin
-  /// with `service`/`txn` fails the sweep up front.
+  /// the default cc mix. Op family only.
   std::string design;
   std::size_t jobs = 1;  // deterministic executor width (0 = hw)
   /// Directory for image/ack files; empty = a fresh mkdtemp under
@@ -294,5 +210,25 @@ struct SweepResult {
 /// executor), reap it, and verify every image in-process. Installs its
 /// own CheckThrowScope — must not run inside another one.
 SweepResult run_sweep(const SweepConfig& config);
+
+/// A parsed `ccnvm crashd <sweep|worker|verify> [flags]` command line.
+struct Command {
+  enum class Sub { kSweep, kWorker, kVerify };
+  Sub sub = Sub::kSweep;
+  /// sweep: every field; worker/verify: family, seed and design.
+  SweepConfig sweep;
+  std::string image;        // worker/verify
+  std::uint64_t index = 0;  // worker/verify
+  Scenario scenario;        // worker/verify: the scenario they run
+};
+
+/// Parses the arguments after `crashd`. Returns nullopt — the caller
+/// prints usage — on an unknown subcommand, a malformed value, two
+/// family selectors, a flag the subcommand does not take (sweep takes no
+/// --image/--index; worker/verify take no --scenarios/--jobs/--dir/
+/// --keep and need --image), or an unusable --design; `error` then holds
+/// a reason when there is one beyond "bad usage".
+std::optional<Command> parse_command(const std::vector<std::string>& args,
+                                     std::string& error);
 
 }  // namespace ccnvm::crashd

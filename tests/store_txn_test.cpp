@@ -3,6 +3,7 @@
 // prepare/decide/finalize half, and journal/heap hygiene on failure.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -170,10 +171,16 @@ TEST(TxnTest, HomeBucketCollisionsWithinOneTxnGetDistinctSlots) {
 
 // --- Crash all-or-nothing at every phase ---------------------------------
 
+// Must the txn be visible after reopen? Four bytes wide so CrashAt has no
+// padding: gtest prints the parameter's raw bytes into the test name, and
+// uninitialised padding would make the names differ from run to run.
+enum class Outcome : std::uint32_t { kRolledBack, kCommitted };
+
 struct CrashAt {
   SecureKvStore::TxnCrashPhase phase;
-  bool committed;  // must the txn be visible after reopen?
+  Outcome outcome;
 };
+static_assert(sizeof(CrashAt) == 8, "CrashAt must have no padding bytes");
 
 class TxnCrashPhaseTest : public ::testing::TestWithParam<CrashAt> {};
 
@@ -200,7 +207,7 @@ TEST_P(TxnCrashPhaseTest, KillYieldsAllOrNothingOnReopen) {
   design.crash_power_loss();
   EXPECT_TRUE(design.recover().clean);
   SecureKvStore kv = SecureKvStore::open(design, cfg);
-  if (param.committed) {
+  if (param.outcome == Outcome::kCommitted) {
     EXPECT_EQ(kv.get("old").value(), "v1");
     EXPECT_EQ(kv.get("fresh").value(), value_of(100, 'f'));
     EXPECT_FALSE(kv.get("pre").has_value());
@@ -221,11 +228,14 @@ TEST_P(TxnCrashPhaseTest, KillYieldsAllOrNothingOnReopen) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPhases, TxnCrashPhaseTest,
-    ::testing::Values(
-        CrashAt{SecureKvStore::TxnCrashPhase::kAfterStage, false},
-        CrashAt{SecureKvStore::TxnCrashPhase::kAfterStatusFlip, true},
-        CrashAt{SecureKvStore::TxnCrashPhase::kMidRedo, true},
-        CrashAt{SecureKvStore::TxnCrashPhase::kBeforeRelease, true}));
+    ::testing::Values(CrashAt{SecureKvStore::TxnCrashPhase::kAfterStage,
+                              Outcome::kRolledBack},
+                      CrashAt{SecureKvStore::TxnCrashPhase::kAfterStatusFlip,
+                              Outcome::kCommitted},
+                      CrashAt{SecureKvStore::TxnCrashPhase::kMidRedo,
+                              Outcome::kCommitted},
+                      CrashAt{SecureKvStore::TxnCrashPhase::kBeforeRelease,
+                              Outcome::kCommitted}));
 
 // --- Distributed half (prepare / decide / finalize) ----------------------
 

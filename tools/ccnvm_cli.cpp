@@ -25,10 +25,8 @@
 //
 // Designs: wocc | sc | osiris | ccnvm-nods | ccnvm | ccnvm-plus |
 //          triad[-nK] | phoenix
-#include <cctype>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,6 +39,7 @@
 #include "fuzz/fuzz.h"
 #endif
 #include "attacks/injector.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nvlint/nvlint.h"
@@ -54,46 +53,6 @@
 using namespace ccnvm;
 
 namespace {
-
-/// Strict decimal parse for argv values: rejects empty strings, signs,
-/// non-digits and overflow instead of letting std::stoull throw (or
-/// silently accept "12abc").
-std::optional<std::uint64_t> parse_u64(const std::string& arg) {
-  if (arg.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : arg) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return std::nullopt;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      return std::nullopt;  // overflow
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
-/// "triad-n<K>" selects Triad-NVM with persist frontier K; plain "triad"
-/// is triad-n1. `persist_level` (optional) receives the frontier.
-std::optional<core::DesignKind> parse_design(
-    const std::string& name, std::uint32_t* persist_level = nullptr) {
-  if (name == "wocc") return core::DesignKind::kWoCc;
-  if (name == "sc") return core::DesignKind::kStrict;
-  if (name == "osiris") return core::DesignKind::kOsirisPlus;
-  if (name == "ccnvm-nods") return core::DesignKind::kCcNvmNoDs;
-  if (name == "ccnvm") return core::DesignKind::kCcNvm;
-  if (name == "ccnvm-plus") return core::DesignKind::kCcNvmPlus;
-  if (name == "phoenix") return core::DesignKind::kPhoenix;
-  if (name == "triad") return core::DesignKind::kTriadNvm;
-  if (name.rfind("triad-n", 0) == 0 && name.size() > 7) {
-    const auto level = parse_u64(name.substr(7));
-    if (!level || *level == 0 || *level > 64) return std::nullopt;
-    if (persist_level != nullptr) {
-      *persist_level = static_cast<std::uint32_t>(*level);
-    }
-    return core::DesignKind::kTriadNvm;
-  }
-  return std::nullopt;
-}
 
 int cmd_list() {
   std::printf("workloads:");
@@ -126,15 +85,14 @@ int cmd_geometry(std::uint64_t mib) {
 
 int cmd_run(const std::string& workload, const std::string& design,
             std::uint64_t refs) {
-  std::uint32_t persist_level = 1;
-  const auto kind = parse_design(design, &persist_level);
-  if (!kind) {
+  const auto spec = core::parse_design(design);
+  if (!spec) {
     std::fprintf(stderr, "unknown design '%s'\n", design.c_str());
     return 2;
   }
   sim::SystemConfig cfg;
-  cfg.kind = *kind;
-  cfg.design.persist_level = persist_level;
+  cfg.kind = spec->kind;
+  cfg.design.persist_level = spec->persist_level;
   cfg.design.data_capacity = 16ull << 30;
   cfg.design.functional = false;
   sim::System system(cfg);
@@ -245,9 +203,8 @@ int cmd_audit(std::uint64_t seed, std::uint64_t jobs) {
 
 int cmd_kv_run(const std::string& workload_name, const std::string& design,
                std::uint64_t ops, std::uint64_t records) {
-  std::uint32_t persist_level = 1;
-  const auto kind = parse_design(design, &persist_level);
-  if (!kind) {
+  const auto spec = core::parse_design(design);
+  if (!spec) {
     std::fprintf(stderr, "unknown design '%s'\n", design.c_str());
     return 2;
   }
@@ -272,9 +229,9 @@ int cmd_kv_run(const std::string& workload_name, const std::string& design,
   const store::StoreConfig store_config =
       store::StoreConfig::sized_for(peak_keys, workload.value_bytes);
   core::DesignConfig design_config;
-  design_config.persist_level = persist_level;
+  design_config.persist_level = spec->persist_level;
   design_config.data_capacity = store::capacity_for(store_config);
-  auto nvm = core::make_design(*kind, design_config);
+  auto nvm = core::make_design(spec->kind, design_config);
   auto& base = dynamic_cast<core::SecureNvmBase&>(*nvm);
   const store::YcsbRunResult r =
       store::run_ycsb_workload(base, store_config, workload, options);
@@ -594,132 +551,61 @@ int cmd_fuzz(int argc, char** argv) {
 
 int cmd_crashd(int argc, char** argv) {
 #ifdef CCNVM_HAVE_AUDIT
-  if (argc < 3) return usage();
-  const std::string sub = argv[2];
-
-  std::string image;
-  std::uint64_t seed = 1;
-  std::uint64_t index = 0;
-  bool service = false;
-  bool txn = false;
-  std::string design;
-  crashd::SweepConfig sweep_cfg;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value_of =
-        [&arg](const char* prefix) -> std::optional<std::string> {
-      const std::size_t n = std::strlen(prefix);
-      if (arg.size() >= n && arg.compare(0, n, prefix) == 0) {
-        return arg.substr(n);
+  std::string error;
+  const auto cmd = crashd::parse_command(
+      std::vector<std::string>(argv + 2, argv + argc), error);
+  if (!cmd) {
+    if (!error.empty()) std::fprintf(stderr, "crashd: %s\n", error.c_str());
+    return usage();
+  }
+  switch (cmd->sub) {
+    case crashd::Command::Sub::kWorker:
+      // No CheckThrowScope: a broken invariant in the worker must abort,
+      // which the sweep reports as an unexpected wait status.
+      return crashd::run_worker(cmd->image, cmd->scenario);
+    case crashd::Command::Sub::kVerify: {
+      CheckThrowScope throw_scope;
+      const crashd::VerifyResult r =
+          crashd::verify_scenario(cmd->image, cmd->scenario);
+      std::printf("scenario %llu [%s]: %s\n",
+                  static_cast<unsigned long long>(cmd->index),
+                  crashd::describe(cmd->scenario).c_str(),
+                  r.ok ? "ok" : "FAIL");
+      if (!r.ok) {
+        std::printf("  %s\n", r.message.c_str());
+        return 1;
       }
-      return std::nullopt;
-    };
-    if (const auto v = value_of("--image=")) {
-      image = *v;
-    } else if (const auto v = value_of("--seed=")) {
-      const auto s = parse_u64(*v);
-      if (!s) return usage();
-      seed = sweep_cfg.seed = *s;
-    } else if (const auto v = value_of("--index=")) {
-      const auto idx = parse_u64(*v);
-      if (!idx) return usage();
-      index = *idx;
-    } else if (const auto v = value_of("--scenarios=")) {
-      const auto n = parse_u64(*v);
-      if (!n) return usage();
-      sweep_cfg.scenarios = *n;
-    } else if (const auto v = value_of("--jobs=")) {
-      const auto jobs = parse_u64(*v);
-      if (!jobs) return usage();
-      sweep_cfg.jobs = static_cast<std::size_t>(*jobs);
-    } else if (const auto v = value_of("--dir=")) {
-      sweep_cfg.work_dir = *v;
-    } else if (arg == "--keep") {
-      sweep_cfg.keep_files = true;
-    } else if (arg == "--service") {
-      service = sweep_cfg.service = true;
-    } else if (arg == "--txn") {
-      txn = sweep_cfg.txn = true;
-    } else if (const auto v = value_of("--design=")) {
-      design = sweep_cfg.design = *v;
-    } else {
-      return usage();
+      std::printf("  killed=%d acked=%llu keys=%llu checks=%llu attack=%d\n",
+                  r.worker_was_killed ? 1 : 0,
+                  static_cast<unsigned long long>(r.acked_ops),
+                  static_cast<unsigned long long>(r.keys_checked),
+                  static_cast<unsigned long long>(r.auditor_checks),
+                  r.attack_checked ? 1 : 0);
+      return 0;
     }
-  }
-  crashd::DesignPin pin_storage;
-  const crashd::DesignPin* pin = nullptr;
-  if (!design.empty()) {
-    // run_sweep validates its own copy; worker/verify need the parse here.
-    if (service || txn) {
-      std::fprintf(stderr,
-                   "--design pins are single-threaded-family only\n");
-      return 2;
+    case crashd::Command::Sub::kSweep: {
+      const crashd::SweepResult r = crashd::run_sweep(cmd->sweep);
+      std::printf("crashd kill-9 sweep: %s\n",
+                  r.ok() ? "zero lost acked ops, zero auditor violations"
+                         : "FAILURES");
+      std::printf("  scenarios           %llu (killed %llu, clean %llu, "
+                  "attack %llu)\n",
+                  static_cast<unsigned long long>(r.scenarios),
+                  static_cast<unsigned long long>(r.killed),
+                  static_cast<unsigned long long>(r.clean_exits),
+                  static_cast<unsigned long long>(r.attack_scenarios));
+      std::printf("  acked ops verified  %llu\n",
+                  static_cast<unsigned long long>(r.acked_ops));
+      std::printf("  auditor checks      %llu\n",
+                  static_cast<unsigned long long>(r.auditor_checks));
+      for (const std::string& f : r.failures) {
+        std::printf("FAIL %s\n", f.c_str());
+        std::printf("  repro: ccnvm crashd verify --image=<kept> --seed=%llu "
+                    "--index=<i> (rerun sweep with --keep --dir=D)\n",
+                    static_cast<unsigned long long>(cmd->sweep.seed));
+      }
+      return r.ok() ? 0 : 1;
     }
-    if (!crashd::parse_design_pin(design, pin_storage)) {
-      std::fprintf(stderr, "unknown or unsupported design pin '%s'\n",
-                   design.c_str());
-      return 2;
-    }
-    pin = &pin_storage;
-  }
-
-  if (sub == "worker") {
-    if (image.empty()) return usage();
-    // No CheckThrowScope: a broken invariant in the worker must abort,
-    // which the sweep reports as an unexpected wait status.
-    if (txn) return crashd::run_txn_worker(image, seed, index);
-    return service ? crashd::run_service_worker(image, seed, index)
-                   : crashd::run_worker(image, seed, index, pin);
-  }
-  if (sub == "verify") {
-    if (image.empty()) return usage();
-    CheckThrowScope throw_scope;
-    const crashd::VerifyResult r =
-        txn ? crashd::verify_txn_scenario(image, seed, index)
-        : service ? crashd::verify_service_scenario(image, seed, index)
-                  : crashd::verify_scenario(image, seed, index, pin);
-    const std::string desc =
-        txn ? crashd::describe(crashd::derive_txn_scenario(seed, index))
-        : service
-            ? crashd::describe(crashd::derive_service_scenario(seed, index))
-            : crashd::describe(crashd::derive_scenario(seed, index, pin));
-    std::printf("scenario %llu [%s]: %s\n",
-                static_cast<unsigned long long>(index), desc.c_str(),
-                r.ok ? "ok" : "FAIL");
-    if (!r.ok) {
-      std::printf("  %s\n", r.message.c_str());
-      return 1;
-    }
-    std::printf("  killed=%d acked=%llu keys=%llu checks=%llu attack=%d\n",
-                r.worker_was_killed ? 1 : 0,
-                static_cast<unsigned long long>(r.acked_ops),
-                static_cast<unsigned long long>(r.keys_checked),
-                static_cast<unsigned long long>(r.auditor_checks),
-                r.attack_checked ? 1 : 0);
-    return 0;
-  }
-  if (sub == "sweep") {
-    const crashd::SweepResult r = crashd::run_sweep(sweep_cfg);
-    std::printf("crashd kill-9 sweep: %s\n",
-                r.ok() ? "zero lost acked ops, zero auditor violations"
-                       : "FAILURES");
-    std::printf("  scenarios           %llu (killed %llu, clean %llu, "
-                "attack %llu)\n",
-                static_cast<unsigned long long>(r.scenarios),
-                static_cast<unsigned long long>(r.killed),
-                static_cast<unsigned long long>(r.clean_exits),
-                static_cast<unsigned long long>(r.attack_scenarios));
-    std::printf("  acked ops verified  %llu\n",
-                static_cast<unsigned long long>(r.acked_ops));
-    std::printf("  auditor checks      %llu\n",
-                static_cast<unsigned long long>(r.auditor_checks));
-    for (const std::string& f : r.failures) {
-      std::printf("FAIL %s\n", f.c_str());
-      std::printf("  repro: ccnvm crashd verify --image=<kept> --seed=%llu "
-                  "--index=<i> (rerun sweep with --keep --dir=D)\n",
-                  static_cast<unsigned long long>(sweep_cfg.seed));
-    }
-    return r.ok() ? 0 : 1;
   }
   return usage();
 #else
