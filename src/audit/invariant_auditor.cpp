@@ -146,13 +146,10 @@ void InvariantAuditor::check_image_against_roots(const core::AuditView& view,
   if (!tree_persisted(view)) return;
   ++checks_;
   ++image_verifications_;
-  const secure::MerkleEngine::NodeReader reader = image_reader(view);
-  const bool matches_old =
-      view.merkle->find_inconsistencies(reader, view.tcb->root_old).empty();
-  if (matches_old) return;
-  const bool matches_new =
-      !committed_only &&
-      view.merkle->find_inconsistencies(reader, view.tcb->root_new).empty();
+  const auto [bad_old, bad_new] = view.merkle->find_inconsistencies(
+      image_reader(view), view.tcb->root_old, view.tcb->root_new);
+  if (bad_old.empty()) return;
+  const bool matches_new = !committed_only && bad_new.empty();
   CCNVM_CHECK_MSG(matches_new,
                   committed_only
                       ? "committed NVM tree does not verify against the "

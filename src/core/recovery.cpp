@@ -1,6 +1,9 @@
 #include "core/recovery.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "secure/counter_block.h"
@@ -43,16 +46,95 @@ std::uint64_t tree_nodes_above(const nvm::NvmLayout& layout,
 
 }  // namespace
 
-bool RecoveryManager::block_written(Addr data_addr) const {
-  const Addr dh_line = in_.layout->dh_line_addr(data_addr);
-  if (!in_.image->has_line(dh_line)) return false;
-  return !tag_is_zero(stored_dh(data_addr));
+void RecoveryManager::read_page(std::uint64_t leaf, PageScan& page) const {
+  const nvm::NvmLayout& layout = *in_.layout;
+  page.leaf = leaf;
+  page.persisted = CounterBlock::unpack(
+      in_.image->read_line(layout.data_capacity() + leaf * kLineSize));
+  page.slots.clear();
+  page.ciphertext.clear();
+  page.want.clear();
+  // One DH line holds the tags of kTagsPerLine consecutive blocks; it is
+  // read once for all of them.
+  constexpr std::size_t kTagsPerLine = kLineSize / sizeof(Tag128);
+  for (std::size_t first = 0; first < kBlocksPerPage; first += kTagsPerLine) {
+    const Addr dh_addr = layout.dh_line_addr(page.addr(first));
+    if (!in_.image->has_line(dh_addr)) continue;
+    const Line dh_line = in_.image->read_line(dh_addr);
+    for (std::size_t b = first; b < first + kTagsPerLine; ++b) {
+      const Tag128 tag = secure::dh_tag_in_line(
+          dh_line, layout.dh_offset_in_line(page.addr(b)));
+      if (tag_is_zero(tag)) continue;
+      page.slots.push_back(b);
+      page.ciphertext.push_back(in_.image->read_line(page.addr(b)));
+      page.want.push_back(tag);
+    }
+  }
 }
 
-Tag128 RecoveryManager::stored_dh(Addr data_addr) const {
-  const Line line = in_.image->read_line(in_.layout->dh_line_addr(data_addr));
-  return secure::dh_tag_in_line(line,
-                                in_.layout->dh_offset_in_line(data_addr));
+bool RecoveryManager::ecc_admits(const Line& ciphertext, Addr data_addr,
+                                 const crypto::PadCounter& cand,
+                                 std::uint64_t& ecc_checks) const {
+  if (!in_.use_ecc_oracle || !in_.image->has_ecc(data_addr)) return true;
+  // Osiris: cheap plaintext-ECC filter before the HMAC authority.
+  ++ecc_checks;
+  const Line guess = in_.cme->crypt(ciphertext, data_addr, cand);
+  secure::EccBits stored;
+  stored.bytes = in_.image->read_ecc(data_addr);
+  return secure::line_matches_ecc(guess, stored);
+}
+
+std::uint64_t RecoveryManager::scan_pages(
+    std::optional<std::uint64_t> skip_leaf,
+    const std::function<void(const PageScan&)>& visit) const {
+  // A single page often leaves SIMD lanes idle, so pages are read
+  // kScanPages at a time and share one burst; they are still visited one
+  // by one in page order.
+  constexpr std::uint64_t kScanPages = 16;
+  const std::uint64_t pages = in_.layout->num_pages();
+  std::vector<PageScan> window(std::min(kScanPages, pages));
+  std::vector<secure::DataHmacReq> reqs;
+  std::vector<std::pair<PageScan*, std::size_t>> which;
+  std::vector<Tag128> tags;
+  std::uint64_t ecc_checks = 0;
+  for (std::uint64_t first = 0; first < pages; first += window.size()) {
+    const std::span<PageScan> batch(
+        window.data(), std::min<std::uint64_t>(window.size(), pages - first));
+    reqs.clear();
+    which.clear();
+    for (std::size_t p = 0; p < batch.size(); ++p) {
+      PageScan& page = batch[p];
+      read_page(first + p, page);
+      page.match.assign(page.slots.size(), false);
+      if (page.leaf == skip_leaf) continue;
+      for (std::size_t i = 0; i < page.slots.size(); ++i) {
+        const Addr data_addr = page.addr(page.slots[i]);
+        const crypto::PadCounter cand =
+            page.persisted.pad_counter(page.slots[i]);
+        if (!ecc_admits(page.ciphertext[i], data_addr, cand, ecc_checks)) {
+          continue;
+        }
+        reqs.push_back({&page.ciphertext[i], data_addr, cand});
+        which.emplace_back(&page, i);
+      }
+    }
+    tags.resize(reqs.size());
+    in_.cme->data_hmac_many(reqs, tags);
+    for (std::size_t j = 0; j < which.size(); ++j) {
+      const auto [page, i] = which[j];
+      page->match[i] = tags[j] == page->want[i];
+    }
+    for (const PageScan& page : batch) visit(page);
+  }
+  return ecc_checks;
+}
+
+void RecoveryManager::scan_persisted(std::vector<Addr>& tampered) const {
+  (void)scan_pages(std::nullopt, [&](const PageScan& page) {
+    for (std::size_t i = 0; i < page.slots.size(); ++i) {
+      if (!page.match[i]) tampered.push_back(page.addr(page.slots[i]));
+    }
+  });
 }
 
 RecoveryReport RecoveryManager::run() {
@@ -82,64 +164,59 @@ RecoveryReport RecoveryManager::run() {
 }
 
 RecoveryManager::CounterRecovery RecoveryManager::recover_counters() const {
-  const nvm::NvmLayout& layout = *in_.layout;
   CounterRecovery out;
-  out.blocks.resize(layout.num_pages());
-
-  for (std::uint64_t leaf = 0; leaf < layout.num_pages(); ++leaf) {
-    const Addr counter_addr = layout.data_capacity() + leaf * kLineSize;
-    const CounterBlock persisted =
-        CounterBlock::unpack(in_.image->read_line(counter_addr));
-    const bool overflow_page =
-        in_.tcb.overflow_pending && in_.tcb.overflow_leaf == leaf;
-
-    if (overflow_page) {
-      recover_overflow_page(leaf, persisted, out);
-      continue;
-    }
-
-    CounterBlock cb = persisted;
-    for (std::size_t b = 0; b < kBlocksPerPage; ++b) {
-      const Addr data_addr = leaf * kPageSize + b * kLineSize;
-      if (!block_written(data_addr)) continue;
-
-      const Line ciphertext = in_.image->read_line(data_addr);
-      const Tag128 want = stored_dh(data_addr);
-
-      // Candidate counters in increment order: the persisted minor and up
-      // to N steps forward (N bounds per-line staleness via the
-      // update-limit drain trigger).
-      bool found = false;
-      for (std::uint64_t k = 0; k <= in_.update_limit; ++k) {
-        const std::uint64_t minor = cb.minors[b] + k;
-        if (minor > CounterBlock::kMinorMax) break;
-        const crypto::PadCounter cand{cb.major, minor};
-        if (in_.use_ecc_oracle && in_.image->has_ecc(data_addr)) {
-          // Osiris: cheap plaintext-ECC filter before the HMAC authority.
-          ++out.ecc_checks;
-          const Line guess = in_.cme->crypt(ciphertext, data_addr, cand);
-          secure::EccBits stored;
-          stored.bytes = in_.image->read_ecc(data_addr);
-          if (!secure::line_matches_ecc(guess, stored)) continue;
+  out.blocks.resize(in_.layout->num_pages());
+  const std::optional<std::uint64_t> overflow_leaf =
+      in_.tcb.overflow_pending ? std::optional(in_.tcb.overflow_leaf)
+                               : std::nullopt;
+  const std::uint64_t screened =
+      scan_pages(overflow_leaf, [&](const PageScan& page) {
+        if (page.leaf == overflow_leaf) {
+          recover_overflow_page(page, out);
+        } else {
+          recover_page(page, out);
         }
-        if (in_.cme->data_hmac(ciphertext, data_addr, cand) == want) {
-          cb.minors[b] = static_cast<std::uint8_t>(minor);
-          out.retries += k;
-          out.per_block_retries[data_addr] = k;
-          if (k > 0) ++out.advanced;
-          found = true;
-          break;
-        }
-      }
-      if (!found) out.failed_blocks.push_back(data_addr);
-    }
-    out.blocks[leaf] = cb;
-  }
+      });
+  out.ecc_checks += screened;
   return out;
 }
 
-void RecoveryManager::recover_overflow_page(std::uint64_t leaf,
-                                            const CounterBlock& persisted,
+void RecoveryManager::recover_page(const PageScan& page,
+                                   CounterRecovery& out) const {
+  // The scan's burst already tried every block's persisted counter (k = 0);
+  // only the blocks it rejected search forward.
+  CounterBlock cb = page.persisted;
+  for (std::size_t i = 0; i < page.slots.size(); ++i) {
+    if (page.match[i]) continue;
+    const std::size_t b = page.slots[i];
+    const Addr data_addr = page.addr(b);
+    // Candidate counters in increment order, up to N steps past the
+    // persisted minor (N bounds per-line staleness via the update-limit
+    // drain trigger).
+    bool found = false;
+    for (std::uint64_t k = 1; k <= in_.update_limit; ++k) {
+      const std::uint64_t minor = cb.minors[b] + k;
+      if (minor > CounterBlock::kMinorMax) break;
+      const crypto::PadCounter cand{cb.major, minor};
+      if (!ecc_admits(page.ciphertext[i], data_addr, cand, out.ecc_checks)) {
+        continue;
+      }
+      if (in_.cme->data_hmac(page.ciphertext[i], data_addr, cand) ==
+          page.want[i]) {
+        cb.minors[b] = static_cast<std::uint8_t>(minor);
+        out.retries += k;
+        out.per_block_retries.emplace(data_addr, k);
+        ++out.advanced;
+        found = true;
+        break;
+      }
+    }
+    if (!found) out.failed_blocks.push_back(data_addr);
+  }
+  out.blocks[page.leaf] = cb;
+}
+
+void RecoveryManager::recover_overflow_page(const PageScan& page,
                                             CounterRecovery& out) const {
   // A flagged overflow means the crash hit the page re-encryption window:
   // every block is either already re-encrypted under (major+1, small
@@ -148,15 +225,16 @@ void RecoveryManager::recover_overflow_page(std::uint64_t leaf,
   // and then *completes* the re-encryption so the page ends uniformly at
   // major+1, which is the only state a single counter line can describe.
   const nvm::NvmLayout& layout = *in_.layout;
+  const CounterBlock& persisted = page.persisted;
   CounterBlock cb;
   cb.major = persisted.major + 1;
   cb.minors.fill(0);
 
-  for (std::size_t b = 0; b < kBlocksPerPage; ++b) {
-    const Addr data_addr = leaf * kPageSize + b * kLineSize;
-    if (!block_written(data_addr)) continue;
-    const Line ciphertext = in_.image->read_line(data_addr);
-    const Tag128 want = stored_dh(data_addr);
+  for (std::size_t i = 0; i < page.slots.size(); ++i) {
+    const std::size_t b = page.slots[i];
+    const Addr data_addr = page.addr(b);
+    const Line& ciphertext = page.ciphertext[i];
+    const Tag128& want = page.want[i];
 
     bool found = false;
     // New family first: (major+1, 0..N).
@@ -194,7 +272,7 @@ void RecoveryManager::recover_overflow_page(std::uint64_t leaf,
     }
     if (!found) out.failed_blocks.push_back(data_addr);
   }
-  out.blocks[leaf] = cb;
+  out.blocks[page.leaf] = cb;
 }
 
 Line RecoveryManager::rebuild_tree(const std::vector<CounterBlock>& blocks,
@@ -237,19 +315,7 @@ RecoveryReport RecoveryManager::run_strict() {
     }
   }
   // Check every written block's data HMAC against its (current) counter.
-  for (std::uint64_t leaf = 0; leaf < layout.num_pages(); ++leaf) {
-    const CounterBlock cb = CounterBlock::unpack(
-        in_.image->read_line(layout.data_capacity() + leaf * kLineSize));
-    for (std::size_t b = 0; b < kBlocksPerPage; ++b) {
-      const Addr data_addr = leaf * kPageSize + b * kLineSize;
-      if (!block_written(data_addr)) continue;
-      const Line ct = in_.image->read_line(data_addr);
-      if (!(in_.cme->data_hmac(ct, data_addr, cb.pad_counter(b)) ==
-            stored_dh(data_addr))) {
-        report.tampered_blocks.push_back(data_addr);
-      }
-    }
-  }
+  scan_persisted(report.tampered_blocks);
   report.attack_detected =
       !report.replayed_nodes.empty() || !report.tampered_blocks.empty();
   report.attack_located = report.attack_detected;
@@ -363,19 +429,7 @@ RecoveryReport RecoveryManager::run_level_persisted(
   // at every crash point — both designs persist the counter line on each
   // write-back), catching spoofed/spliced/replayed data, DH and counter
   // lines exactly as run_strict does.
-  for (std::uint64_t leaf = 0; leaf < layout.num_pages(); ++leaf) {
-    const CounterBlock cb = CounterBlock::unpack(
-        in_.image->read_line(layout.data_capacity() + leaf * kLineSize));
-    for (std::size_t b = 0; b < kBlocksPerPage; ++b) {
-      const Addr data_addr = leaf * kPageSize + b * kLineSize;
-      if (!block_written(data_addr)) continue;
-      const Line ct = in_.image->read_line(data_addr);
-      if (!(in_.cme->data_hmac(ct, data_addr, cb.pad_counter(b)) ==
-            stored_dh(data_addr))) {
-        report.tampered_blocks.push_back(data_addr);
-      }
-    }
-  }
+  scan_persisted(report.tampered_blocks);
 
   if (root_matches && bad.empty() && report.tampered_blocks.empty()) {
     // Persist the rebuilt levels so the NVM image and the reinstalled
@@ -433,10 +487,8 @@ RecoveryReport RecoveryManager::run_cc_nvm() {
     }
     return in_.image->read_line(layout.node_addr(id));
   };
-  const auto bad_new =
-      in_.merkle->find_inconsistencies(nvm_reader, in_.tcb.root_new);
-  const auto bad_old =
-      in_.merkle->find_inconsistencies(nvm_reader, in_.tcb.root_old);
+  const auto [bad_old, bad_new] = in_.merkle->find_inconsistencies(
+      nvm_reader, in_.tcb.root_old, in_.tcb.root_new);
 
   const bool matches_new = bad_new.empty();
   const bool matches_old = bad_old.empty();

@@ -8,21 +8,28 @@
 //   kCcNvm  — the paper's 4-step procedure:
 //             1. locate tree-level replay attacks: the NVM tree must match
 //                ROOT_old or ROOT_new; parent/child mismatches localize
-//                replayed nodes;
+//                replayed nodes. One batched tree pass checks both roots
+//                (only the root's slot comparisons differ between them);
 //             2. recover stalled counters by brute-forcing each data HMAC
 //                forward (<= N retries, N being the update-limit trigger);
-//                an exhausted search locates a spoofing/splicing attack;
+//                an exhausted search locates a spoofing/splicing attack.
+//                Every written block's persisted counter is tried in
+//                data_hmac_many bursts of a window of pages each; only the
+//                blocks they reject search forward one candidate at a time;
 //             3. compare the retry total against N_wb to detect the
 //                deferred-spreading replay window (detected, not located);
 //             4. rebuild the Merkle tree from the recovered counters.
 //   kOsiris — counters brute-forced the same way, tree rebuilt, and the
 //             rebuilt root compared with the TCB root: a mismatch detects
 //             an attack but cannot locate it, so all data is dropped.
-//   kStrict — metadata in NVM is always current; verification is direct.
+//   kStrict — metadata in NVM is always current; verification is direct:
+//             the tree against ROOT_new, then step 2's batched data scan
+//             with no forward search.
 //   kTriad  — Triad-NVM: counters and tree levels 1..persist_level are
 //             current in NVM; recovery rebuilds the unpersisted upper
 //             levels from the persisted frontier, checks the result
-//             against ROOT_new, and scans every data HMAC. A mismatch is
+//             against ROOT_new, and scans every data HMAC (the same
+//             batched scan as kStrict). A mismatch is
 //             localized by verifying the stored tree (counters + persisted
 //             levels + rebuilt levels) against ROOT_new.
 //   kPhoenix— Phoenix: every level is persisted in place, so recovery
@@ -34,6 +41,10 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -133,9 +144,27 @@ class RecoveryManager {
     std::uint64_t advanced = 0;
     std::uint64_t overflow_retries = 0;  // retries on the flagged page
     std::vector<Addr> failed_blocks;
-    /// Retries performed per data block (cc-NVM+ step-3 comparison).
-    std::unordered_map<Addr, std::uint64_t> per_block_retries;
+    /// Non-zero retries per data block, in address order (cc-NVM+ step-3
+    /// comparison); a block that is absent needed none.
+    std::map<Addr, std::uint64_t> per_block_retries;
     std::uint64_t ecc_checks = 0;
+  };
+
+  /// One page as the data-HMAC scan sees it: the persisted counter line
+  /// and the written blocks (an all-zero stored tag marks a never-written
+  /// block in this model), each with its ciphertext and stored data HMAC.
+  struct PageScan {
+    std::uint64_t leaf = 0;
+    secure::CounterBlock persisted;
+    std::vector<std::size_t> slots;  // block index within the page
+    std::vector<Line> ciphertext;
+    std::vector<Tag128> want;
+    /// scan_pages: the block verifies under its persisted counter.
+    std::vector<bool> match;
+
+    Addr addr(std::size_t slot) const {
+      return leaf * kPageSize + slot * kLineSize;
+    }
   };
 
   RecoveryReport run_cc_nvm();
@@ -147,25 +176,47 @@ class RecoveryManager {
                                      bool phoenix);
 
   /// Step 2: brute-force every written block's counter forward against its
-  /// data HMAC.
+  /// data HMAC. The persisted counters (k = 0) go through scan_pages'
+  /// bursts; only the blocks they reject search k = 1..N, one candidate at
+  /// a time.
   CounterRecovery recover_counters() const;
+
+  /// Step 2 for one page: advances each block the burst rejected by up to
+  /// N minor increments; an exhausted search marks the block failed.
+  void recover_page(const PageScan& page, CounterRecovery& out) const;
 
   /// Recovery of a page whose minor-counter overflow re-encryption was
   /// interrupted by the crash (flagged in the TCB).
-  void recover_overflow_page(std::uint64_t leaf,
-                             const secure::CounterBlock& persisted,
-                             CounterRecovery& out) const;
+  void recover_overflow_page(const PageScan& page, CounterRecovery& out) const;
 
   /// Step 4 / Osiris rebuild: recompute the full tree from `blocks`,
   /// persist counters + internal nodes into the image, return the root.
   Line rebuild_tree(const std::vector<secure::CounterBlock>& blocks,
                     bool persist) const;
 
-  /// True when the stored data-HMAC slot indicates the block was ever
-  /// written (an all-zero tag marks never-written blocks in this model).
-  bool block_written(Addr data_addr) const;
+  /// Reads page `leaf`'s counter line, DH lines (each once) and written
+  /// blocks into `page`.
+  void read_page(std::uint64_t leaf, PageScan& page) const;
 
-  Tag128 stored_dh(Addr data_addr) const;
+  /// The data-HMAC scan every recovery mode shares: reads the pages a
+  /// window at a time, checks each written block of the window (but not of
+  /// page `skip_leaf`) under its persisted counter in one data_hmac_many
+  /// burst — in the Osiris mode a candidate must first pass the ECC oracle
+  /// — fills page.match, and hands the pages to `visit` in page order.
+  /// Returns the ECC checks the bursts performed.
+  std::uint64_t scan_pages(std::optional<std::uint64_t> skip_leaf,
+                           const std::function<void(const PageScan&)>& visit)
+      const;
+
+  /// Osiris's plaintext-ECC screen for one counter candidate (counted in
+  /// `ecc_checks`); always true outside the Osiris mode or without ECC.
+  bool ecc_admits(const Line& ciphertext, Addr data_addr,
+                  const crypto::PadCounter& cand,
+                  std::uint64_t& ecc_checks) const;
+
+  /// The SC / Triad-N / Phoenix data scan: appends, in address order,
+  /// every written block that does not verify under its persisted counter.
+  void scan_persisted(std::vector<Addr>& tampered) const;
 
   RecoveryInputs in_;
 };

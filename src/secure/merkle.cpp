@@ -109,35 +109,57 @@ Line MerkleEngine::build_full_tree(const NodeReader& read,
   return prev.front();
 }
 
+void MerkleEngine::append_mismatches(const NodeId& id, const Line& stored,
+                                     const Line& computed,
+                                     std::vector<NodeId>& bad) const {
+  // A mismatch at parent P means some child's stored contents are not what
+  // P committed to — report the child whose tag slot disagrees, which is
+  // the replayed or tampered node.
+  for (std::uint64_t slot = 0; slot < NvmLayout::kArity; ++slot) {
+    const NodeId child = layout_->child(id, slot);
+    const std::size_t off = slot * sizeof(Tag128);
+    if (node_exists(child) &&
+        std::memcmp(stored.data() + off, computed.data() + off,
+                    sizeof(Tag128)) != 0) {
+      bad.push_back(child);
+    }
+  }
+}
+
 std::vector<NodeId> MerkleEngine::find_inconsistencies(const NodeReader& read,
                                                        const Line& root) const {
-  std::vector<NodeId> bad;
-  // For every internal node (and the root), recompute from the stored
-  // children and compare against the stored value. A mismatch at parent P
-  // means some child's stored contents are not what P committed to — we
-  // report the child(ren) whose tag slot disagrees, which is the replayed
-  // or tampered node.
-  for (std::uint32_t level = 1; level <= layout_->root_level(); ++level) {
+  return find_inconsistencies(read, root, root).bad_old;
+}
+
+MerkleEngine::RootPairCheck MerkleEngine::find_inconsistencies(
+    const NodeReader& read, const Line& root_old,
+    const Line& root_new) const {
+  // Every internal node below the root is recomputed from its stored
+  // children and compared with its stored value — once, for both roots.
+  RootPairCheck out;
+  constexpr std::uint64_t kChunkNodes = 64;
+  std::vector<NodeId> ids;
+  std::vector<Line> computed;
+  for (std::uint32_t level = 1; level < layout_->root_level(); ++level) {
     const std::uint64_t count = layout_->nodes_at_level(level);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const NodeId id{level, i};
-      const Line stored =
-          (level == layout_->root_level()) ? root : read(id);
-      for (std::uint64_t slot = 0; slot < NvmLayout::kArity; ++slot) {
-        const NodeId child = layout_->child(id, slot);
-        const Line contents =
-            node_exists(child) ? read(child) : zero_line();
-        const Tag128 expect = node_tag(contents);
-        Tag128 stored_tag;
-        std::memcpy(stored_tag.bytes.data(),
-                    stored.data() + slot * sizeof(Tag128), sizeof(Tag128));
-        if (!(stored_tag == expect) && node_exists(child)) {
-          bad.push_back(child);
-        }
+    for (std::uint64_t begin = 0; begin < count; begin += kChunkNodes) {
+      const std::uint64_t end = std::min(begin + kChunkNodes, count);
+      ids.clear();
+      for (std::uint64_t i = begin; i < end; ++i) ids.push_back({level, i});
+      computed.resize(ids.size());
+      compute_nodes(ids, read, computed);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        append_mismatches(ids[i], read(ids[i]), computed[i], out.bad_old);
       }
     }
   }
-  return bad;
+  const NodeId root = root_id();
+  Line computed_root;
+  compute_nodes({&root, 1}, read, {&computed_root, 1});
+  out.bad_new = out.bad_old;
+  append_mismatches(root, root_old, computed_root, out.bad_old);
+  append_mismatches(root, root_new, computed_root, out.bad_new);
+  return out;
 }
 
 std::optional<NodeId> MerkleEngine::verify_path(Addr data_addr,

@@ -70,12 +70,28 @@ class MerkleEngine {
                        std::size_t jobs = 1) const;
 
   /// Verifies the stored tree (served by `read`, including level 0 leaves
-  /// and internal nodes) against `root`. Returns every node id whose
-  /// stored contents disagree with the value recomputed from its children
-  /// — for a replay of node X, this reports X (parent mismatch localizes
-  /// the replayed subtree, recovery step 1 of §4.4).
+  /// and internal nodes) against `root`. Every internal node is recomputed
+  /// from its stored children (the root from the top stored level) in
+  /// compute_nodes batches, and each of its kArity tag slots is compared
+  /// with the stored node (with `root` for the root). Returns every
+  /// existing child whose slot disagrees, ordered by (parent level, parent
+  /// index, slot) — for a replay of node X, this reports X (parent
+  /// mismatch localizes the replayed subtree, recovery step 1 of §4.4).
   std::vector<NodeId> find_inconsistencies(const NodeReader& read,
                                            const Line& root) const;
+
+  struct RootPairCheck {
+    std::vector<NodeId> bad_old;
+    std::vector<NodeId> bad_new;
+  };
+
+  /// Both TCB roots in one pass: the levels below the root do not depend
+  /// on it, so they are checked once and only the root's kArity slot
+  /// comparisons are made per root. bad_old / bad_new equal
+  /// find_inconsistencies(read, root_old / root_new), contents and order.
+  RootPairCheck find_inconsistencies(const NodeReader& read,
+                                     const Line& root_old,
+                                     const Line& root_new) const;
 
   /// Verifies only the path covering `data_addr` (runtime read-side
   /// verification). Returns the first mismatching node bottom-up, or
@@ -89,6 +105,11 @@ class MerkleEngine {
   bool node_exists(const NodeId& id) const {
     return id.index < layout_->nodes_at_level(id.level);
   }
+
+  /// Appends each existing child of `id` whose tag slot in `stored`
+  /// differs from `computed`.
+  void append_mismatches(const NodeId& id, const Line& stored,
+                         const Line& computed, std::vector<NodeId>& bad) const;
 
   // Midstate-cached HMAC context for the counter-HMAC key; computing a
   // node tag costs three SHA-1 compressions instead of five.

@@ -92,6 +92,33 @@ TEST_F(MerkleFixture, RootTamperIsDetected) {
   EXPECT_FALSE(bad.empty());
 }
 
+TEST_F(MerkleFixture, TwoRootPassEqualsOneRootPasses) {
+  // A stale leaf, a tampered internal node and a second root that
+  // disagrees in one slot: the single pass must report, per root, exactly
+  // what the one-root check does, in (parent level, index, slot) order.
+  store_.counter(10).increment(0);
+  Line v = store_.node_line({2, 5});
+  v[0] ^= 0xff;
+  store_.set_node({2, 5}, v);
+  const Line root_old = store_.root();
+  Line root_new = root_old;
+  root_new[2 * sizeof(Tag128)] ^= 0x1;
+
+  const auto pair =
+      engine_.find_inconsistencies(store_reader(), root_old, root_new);
+  EXPECT_EQ(pair.bad_old,
+            engine_.find_inconsistencies(store_reader(), root_old));
+  EXPECT_EQ(pair.bad_new,
+            engine_.find_inconsistencies(store_reader(), root_new));
+  // The flipped byte sits in {2,5}'s slot 0, so its child {1,20} and its
+  // own slot in {3,1} disagree.
+  const std::vector<NodeId> expect_old = {{0, 10}, {1, 20}, {2, 5}};
+  EXPECT_EQ(pair.bad_old, expect_old);
+  std::vector<NodeId> expect_new = expect_old;
+  expect_new.push_back({3, 2});
+  EXPECT_EQ(pair.bad_new, expect_new);
+}
+
 TEST_F(MerkleFixture, DifferentKeysProduceDifferentRoots) {
   MerkleEngine other(crypto::HmacKey::from_seed(78), layout_);
   MetadataStore other_store(layout_, other);

@@ -2,9 +2,14 @@
 // who recovers, who detects, who locates.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
+#include "attacks/injector.h"
 #include "common/rng.h"
 #include "core/cc_nvm.h"
 #include "core/design.h"
+#include "secure/cme_engine.h"
 
 namespace ccnvm::core {
 namespace {
@@ -168,6 +173,229 @@ TEST(RecoveryTest, RecoveredStateIsCommitted) {
   EXPECT_EQ(design.tcb().root_old, design.tcb().root_new);
   EXPECT_EQ(design.tcb().n_wb, 0u);
   EXPECT_TRUE(design.audit_image().empty());
+}
+
+// ---------------- Recovery equivalence digest ----------------
+//
+// Every RecoveryReport field and every post-recovery image byte, for each
+// recovering design under each crash/attack scenario, folded into one
+// FNV-1a digest. The pinned value was computed before recovery's tree
+// check and counter scan were batched; any change to what recovery
+// reports, in which order, or to what it writes back shows up here.
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t fold_u64(std::uint64_t h, std::uint64_t v) {
+  return fnv1a(h, &v, sizeof v);
+}
+
+std::uint64_t fold_report(std::uint64_t h, const RecoveryReport& r) {
+  for (const bool flag : {r.clean, r.metadata_recovered, r.attack_detected,
+                          r.attack_located, r.potential_replay,
+                          r.data_dropped, r.unrecoverable}) {
+    h = fold_u64(h, flag ? 1 : 0);
+  }
+  h = fold_u64(h, r.tampered_blocks.size());
+  for (const Addr a : r.tampered_blocks) h = fold_u64(h, a);
+  h = fold_u64(h, r.replayed_nodes.size());
+  for (const nvm::NodeId& id : r.replayed_nodes) {
+    h = fold_u64(h, id.level);
+    h = fold_u64(h, id.index);
+  }
+  for (const std::uint64_t v :
+       {r.total_retries, r.counters_recovered, r.ecc_checks,
+        r.rebuild_hash_ops, r.tree_nodes_rebuilt}) {
+    h = fold_u64(h, v);
+  }
+  h = fnv1a(h, r.recovered_root.data(), r.recovered_root.size());
+  h = fold_u64(h, r.detail.size());
+  return fnv1a(h, r.detail.data(), r.detail.size());
+}
+
+std::uint64_t fold_image(std::uint64_t h, SecureNvmDesign& design) {
+  for (Addr a = 0; a < design.layout().total_bytes(); a += kLineSize) {
+    const Line line = design.image().read_line(a);
+    h = fnv1a(h, line.data(), line.size());
+  }
+  return h;
+}
+
+struct DigestDesign {
+  const char* name;
+  DesignKind kind;
+  std::uint32_t persist_level;
+};
+
+const DigestDesign kDigestDesigns[] = {
+    {"ccnvm", DesignKind::kCcNvm, 1},
+    {"ccnvm-nods", DesignKind::kCcNvmNoDs, 1},
+    {"ccnvm-plus", DesignKind::kCcNvmPlus, 1},
+    {"osiris", DesignKind::kOsirisPlus, 1},
+    {"sc", DesignKind::kStrict, 1},
+    {"triad-n1", DesignKind::kTriadNvm, 1},
+    {"triad-n2", DesignKind::kTriadNvm, 2},
+    {"phoenix", DesignKind::kPhoenix, 1},
+};
+
+std::unique_ptr<SecureNvmDesign> digest_design(const DigestDesign& d,
+                                               std::uint32_t update_limit) {
+  DesignConfig c = small_config();
+  c.update_limit = update_limit;
+  c.persist_level = d.persist_level;
+  return make_design(d.kind, c);
+}
+
+void quiesce(SecureNvmDesign& design) {
+  dynamic_cast<SecureNvmBase&>(design).quiesce();
+}
+
+// `count` seeded write-backs over the first 8 pages, so pages collect
+// several stale minors each.
+void scatter_writes(SecureNvmDesign& design, Rng& rng, std::uint64_t count,
+                    std::uint64_t tag_base) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const Addr addr = rng.below(8 * kBlocksPerPage) * kLineSize;
+    design.write_back(addr, pattern_line(tag_base + i));
+  }
+}
+
+struct DigestScenario {
+  const char* name;
+  std::uint32_t update_limit;
+  // Drives the design to power loss and applies the scenario's tampering.
+  std::function<void(SecureNvmDesign&, Rng&)> run;
+};
+
+std::vector<DigestScenario> digest_scenarios() {
+  return {
+      {"clean-mid-epoch", 16,
+       [](SecureNvmDesign& d, Rng& rng) {
+         scatter_writes(d, rng, 300, 0);
+         quiesce(d);
+         scatter_writes(d, rng, 90, 1000);
+         d.crash_power_loss();
+       }},
+      {"overflow-pending", 200,
+       [](SecureNvmDesign& d, Rng& rng) {
+         scatter_writes(d, rng, 40, 0);
+         quiesce(d);
+         for (std::uint64_t i = 0; i < 128; ++i) {  // 128th write overflows
+           d.write_back(3 * kPageSize, pattern_line(500 + i));
+         }
+         scatter_writes(d, rng, 20, 2000);
+         d.crash_power_loss();
+       }},
+      {"spoofed-data", 16,
+       [](SecureNvmDesign& d, Rng& rng) {
+         scatter_writes(d, rng, 200, 0);
+         quiesce(d);
+         d.write_back(5 * kLineSize, pattern_line(7));
+         scatter_writes(d, rng, 40, 1000);
+         d.crash_power_loss();
+         attacks::spoof_data(d, 5 * kLineSize, rng);
+       }},
+      {"spoofed-dh", 16,
+       [](SecureNvmDesign& d, Rng& rng) {
+         scatter_writes(d, rng, 200, 0);
+         quiesce(d);
+         d.write_back(6 * kLineSize, pattern_line(8));
+         scatter_writes(d, rng, 40, 1000);
+         d.crash_power_loss();
+         attacks::spoof_dh(d, 6 * kLineSize, rng);
+       }},
+      {"splice", 16,
+       [](SecureNvmDesign& d, Rng& rng) {
+         scatter_writes(d, rng, 200, 0);
+         quiesce(d);
+         d.write_back(2 * kLineSize, pattern_line(9));
+         d.write_back(kPageSize + 11 * kLineSize, pattern_line(10));
+         scatter_writes(d, rng, 40, 1000);
+         d.crash_power_loss();
+         attacks::splice_data(d, 2 * kLineSize, kPageSize + 11 * kLineSize);
+       }},
+      {"counter-replay", 16,
+       [](SecureNvmDesign& d, Rng& rng) {
+         scatter_writes(d, rng, 200, 0);
+         quiesce(d);
+         const nvm::NvmImage snapshot = d.image().snapshot();
+         for (std::uint64_t i = 0; i < 5; ++i) {
+           d.write_back(kPageSize + i * kLineSize, pattern_line(300 + i));
+         }
+         quiesce(d);
+         scatter_writes(d, rng, 30, 1000);
+         d.crash_power_loss();
+         attacks::replay_counter(d, snapshot, kPageSize);
+       }},
+      {"epoch-window-data-replay", 16,
+       [](SecureNvmDesign& d, Rng& rng) {
+         scatter_writes(d, rng, 200, 0);
+         d.write_back(0x40, pattern_line(1));
+         quiesce(d);
+         const nvm::NvmImage snapshot = d.image().snapshot();
+         d.write_back(0x40, pattern_line(2));  // uncommitted epoch
+         scatter_writes(d, rng, 30, 1000);
+         d.crash_power_loss();
+         attacks::replay_data(d, snapshot, 0x40);
+       }},
+      {"wholesale-rollback", 16,
+       [](SecureNvmDesign& d, Rng& rng) {
+         scatter_writes(d, rng, 200, 0);
+         quiesce(d);
+         const nvm::NvmImage snapshot = d.image().snapshot();
+         scatter_writes(d, rng, 60, 1000);
+         quiesce(d);  // both roots move past the snapshot
+         d.crash_power_loss();
+         attacks::replay_everything(d, snapshot);
+       }},
+  };
+}
+
+TEST(RecoveryEquivalenceTest, ReportAndImageDigestIsPinned) {
+  std::uint64_t h = kFnvBasis;
+  for (const DigestDesign& dd : kDigestDesigns) {
+    for (const DigestScenario& sc : digest_scenarios()) {
+      auto design = digest_design(dd, sc.update_limit);
+      Rng rng(0x5eed);
+      sc.run(*design, rng);
+      const RecoveryReport report = design->recover();
+      std::uint64_t one = fold_report(kFnvBasis, report);
+      one = fold_image(one, *design);
+      h = fold_u64(h, one);
+    }
+  }
+  EXPECT_EQ(h, 0x99677fd9ae00619bULL);
+}
+
+TEST(RecoveryEquivalenceTest, OsirisCountsOneEccCheckPerCandidate) {
+  // Osiris screens each counter candidate through the plaintext-ECC oracle
+  // before the data-HMAC confirmation: every written block costs the check
+  // of its persisted counter, and every forward step one more.
+  auto design = digest_design(kDigestDesigns[3], 16);
+  ASSERT_EQ(design->kind(), DesignKind::kOsirisPlus);
+  Rng rng(0x5eed);
+  digest_scenarios().front().run(*design, rng);
+  const nvm::NvmLayout& layout = design->layout();
+  std::uint64_t written = 0;
+  for (Addr a = 0; a < layout.data_capacity(); a += kLineSize) {
+    const Tag128 tag = secure::dh_tag_in_line(
+        design->image().read_line(layout.dh_line_addr(a)),
+        layout.dh_offset_in_line(a));
+    if (!(tag == Tag128{})) ++written;
+  }
+  const RecoveryReport report = design->recover();
+  ASSERT_TRUE(report.clean) << report.detail;
+  EXPECT_EQ(report.ecc_checks, written + report.total_retries);
+  EXPECT_EQ(report.ecc_checks, 347u);
+  EXPECT_EQ(report.total_retries, 74u);
 }
 
 }  // namespace
