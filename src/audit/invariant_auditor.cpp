@@ -50,20 +50,6 @@ bool InvariantAuditor::is_cc_design(const core::AuditView& view) const {
   return view.daq != nullptr;
 }
 
-bool InvariantAuditor::tree_persisted(const core::AuditView& view) const {
-  // w/o CC persists evicted lines with no atomicity (its image is
-  // legitimately torn after a crash), Osiris Plus never persists tree
-  // nodes at all, and Triad-NVM deliberately leaves the levels above its
-  // frontier volatile (the image cannot verify whole against any root);
-  // only SC, Phoenix and the cc-NVM family commit a consistent
-  // NVM-resident tree.
-  return view.kind == core::DesignKind::kStrict ||
-         view.kind == core::DesignKind::kPhoenix ||
-         view.kind == core::DesignKind::kCcNvmNoDs ||
-         view.kind == core::DesignKind::kCcNvm ||
-         view.kind == core::DesignKind::kCcNvmPlus;
-}
-
 void InvariantAuditor::check_daq(const core::AuditView& view) {
   const core::DirtyAddressQueue& daq = *view.daq;
   ++checks_;
@@ -143,7 +129,12 @@ void InvariantAuditor::check_image_against_roots(const core::AuditView& view,
                                                  bool committed_only) {
   if (!options_.verify_image) return;
   if (view.meta == nullptr) return;  // timing-only: image has no contents
-  if (!tree_persisted(view)) return;
+  // w/o CC persists evicted lines with no atomicity (its image is
+  // legitimately torn after a crash), Osiris Plus never persists tree
+  // nodes, and a branch-persist frontier below the top leaves the upper
+  // levels volatile: only a design whose whole tree commits with the
+  // roots can be checked against them.
+  if (!view.tree_persisted) return;
   ++checks_;
   ++image_verifications_;
   const auto [bad_old, bad_new] = view.merkle->find_inconsistencies(

@@ -86,7 +86,6 @@ class InvariantAuditor : public core::ProtocolObserver {
   enum class DrainState { kIdle, kStarted, kEnded };
 
   bool is_cc_design(const core::AuditView& view) const;
-  bool tree_persisted(const core::AuditView& view) const;
 
   /// I1 + I2.
   void check_daq(const core::AuditView& view);

@@ -1,7 +1,5 @@
+#include "baselines/branch_persist.h"
 #include "baselines/osiris_plus.h"
-#include "baselines/phoenix.h"
-#include "baselines/strict_consistency.h"
-#include "baselines/triad_nvm.h"
 #include "baselines/wo_cc.h"
 #include "core/cc_nvm.h"
 #include "core/cc_nvm_plus.h"
@@ -15,7 +13,8 @@ std::unique_ptr<SecureNvmDesign> make_design(DesignKind kind,
     case DesignKind::kWoCc:
       return std::make_unique<baselines::WoCcDesign>(config);
     case DesignKind::kStrict:
-      return std::make_unique<baselines::StrictDesign>(config);
+      return std::make_unique<baselines::BranchPersistDesign>(
+          config, kind, baselines::BranchPersistPolicy{});
     case DesignKind::kOsirisPlus:
       return std::make_unique<baselines::OsirisPlusDesign>(config);
     case DesignKind::kCcNvmNoDs:
@@ -27,9 +26,13 @@ std::unique_ptr<SecureNvmDesign> make_design(DesignKind kind,
     case DesignKind::kCcNvmPlus:
       return std::make_unique<CcNvmPlusDesign>(config);
     case DesignKind::kTriadNvm:
-      return std::make_unique<baselines::TriadNvmDesign>(config);
+      return std::make_unique<baselines::BranchPersistDesign>(
+          config, kind,
+          baselines::BranchPersistPolicy{.frontier = config.persist_level});
     case DesignKind::kPhoenix:
-      return std::make_unique<baselines::PhoenixDesign>(config);
+      return std::make_unique<baselines::BranchPersistDesign>(
+          config, kind,
+          baselines::BranchPersistPolicy{.overlap_transfer = true});
   }
   CCNVM_CHECK_MSG(false, "unknown design kind");
   return nullptr;

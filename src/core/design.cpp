@@ -119,6 +119,10 @@ AuditView SecureNvmBase::audit_view() const {
   v.meta = meta_.get();
   v.tcb = &tcb_;
   v.daq = audit_daq();
+  v.tree_persisted = recovery_mode() != RecoveryMode::kNone;
+  for (std::uint32_t level = 1; level < layout_.root_level(); ++level) {
+    v.tree_persisted = v.tree_persisted && tree_level_persisted(level);
+  }
   v.epoch = commit_epoch_;
   return v;
 }

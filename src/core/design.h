@@ -295,9 +295,10 @@ class SecureNvmBase : public SecureNvmDesign {
 
   /// Whether the NVM copy of tree level `level` (1..root-1) tracks the
   /// logical state at quiesce points. audit_image() compares only the
-  /// persisted levels against the logical tree; designs that legitimately
-  /// leave a level stale (Osiris: all; Triad-NVM: levels above N) opt out
-  /// per level.
+  /// persisted levels against the logical tree, and observers audit the
+  /// image against the roots only when every level persists; designs that
+  /// legitimately leave a level stale (Osiris: all; branch-persist: levels
+  /// above the frontier) opt out per level.
   virtual bool tree_level_persisted(std::uint32_t /*level*/) const {
     return recovery_mode() != RecoveryMode::kOsiris;
   }

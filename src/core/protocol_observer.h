@@ -65,6 +65,10 @@ struct AuditView {
   const secure::MetadataStore* meta = nullptr;
   const TcbRegisters* tcb = nullptr;
   const DirtyAddressQueue* daq = nullptr;
+  /// The NVM tree commits with the TCB roots: every internal level persists
+  /// and the root register survives power loss, so at a crash the image
+  /// verifies against ROOT_old or ROOT_new.
+  bool tree_persisted = false;
   /// Committed drain epochs so far (0 before the first commit).
   std::uint64_t epoch = 0;
 };

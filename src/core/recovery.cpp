@@ -5,7 +5,6 @@
 #include <span>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "secure/counter_block.h"
 #include "secure/ecc.h"
 
@@ -147,17 +146,12 @@ RecoveryReport RecoveryManager::run() {
           "loss nothing in NVM can be authenticated";
       return report;
     }
-    case RecoveryMode::kStrict:
-      return run_strict();
     case RecoveryMode::kOsiris:
       return run_osiris();
     case RecoveryMode::kCcNvm:
       return run_cc_nvm();
-    case RecoveryMode::kTriad:
-      return run_level_persisted(in_.persist_level, /*phoenix=*/false);
-    case RecoveryMode::kPhoenix:
-      return run_level_persisted(in_.layout->root_level() - 1,
-                                 /*phoenix=*/true);
+    case RecoveryMode::kBranchPersist:
+      return run_level_persisted();
   }
   CCNVM_CHECK_MSG(false, "unknown recovery mode");
   return {};
@@ -295,37 +289,6 @@ Line RecoveryManager::rebuild_tree(const std::vector<CounterBlock>& blocks,
   return root;
 }
 
-RecoveryReport RecoveryManager::run_strict() {
-  RecoveryReport report;
-  const nvm::NvmLayout& layout = *in_.layout;
-  // Under strict consistency the NVM metadata is the newest metadata;
-  // verification is a direct pass, no brute-forcing.
-  const auto reader = [&](const NodeId& id) -> Line {
-    if (id.level == 0) {
-      return in_.image->read_line(layout.data_capacity() +
-                                  id.index * kLineSize);
-    }
-    return in_.image->read_line(layout.node_addr(id));
-  };
-  const auto bad = in_.merkle->find_inconsistencies(reader, in_.tcb.root_new);
-  for (const NodeId& id : bad) {
-    report.replayed_nodes.push_back(id);
-    if (id.level == 0) {
-      report.tampered_blocks.push_back(id.index * kPageSize);
-    }
-  }
-  // Check every written block's data HMAC against its (current) counter.
-  scan_persisted(report.tampered_blocks);
-  report.attack_detected =
-      !report.replayed_nodes.empty() || !report.tampered_blocks.empty();
-  report.attack_located = report.attack_detected;
-  report.metadata_recovered = !report.attack_detected;
-  report.recovered_root = in_.tcb.root_new;
-  report.clean = !report.attack_detected;
-  if (report.clean) report.detail = "strict consistency: NVM state current";
-  return report;
-}
-
 RecoveryReport RecoveryManager::run_osiris() {
   RecoveryReport report;
   const CounterRecovery rec = recover_counters();
@@ -361,12 +324,14 @@ RecoveryReport RecoveryManager::run_osiris() {
   return report;
 }
 
-RecoveryReport RecoveryManager::run_level_persisted(
-    std::uint32_t persist_level, bool phoenix) {
+RecoveryReport RecoveryManager::run_level_persisted() {
   RecoveryReport report;
   const nvm::NvmLayout& layout = *in_.layout;
   const std::uint32_t root_level = layout.root_level();
-  const std::uint32_t frontier = std::min(persist_level, root_level - 1);
+  const std::uint32_t frontier = std::min(in_.persist_level, root_level - 1);
+  // SC, Phoenix and a Triad-N whose N reaches the top persist every
+  // internal level; only lower frontiers leave levels to rebuild.
+  const bool whole_tree = frontier == root_level - 1;
 
   const auto stored = [&](const NodeId& id) -> Line {
     if (id.level == 0) {
@@ -377,40 +342,23 @@ RecoveryReport RecoveryManager::run_level_persisted(
   };
 
   // ---- Rebuild the levels above the persisted frontier, treating the
-  // frontier's stored nodes as the leaf set. Same chunked level-by-level
-  // scheme as MerkleEngine::build_full_tree, so the result is
-  // bit-identical for any jobs value. Phoenix's frontier is the whole
-  // tree; only the root recompute (the verification) remains.
+  // frontier's stored nodes as the leaf set. At the top frontier only the
+  // root recompute (the verification) remains. The frontier is read up
+  // front so the rebuild's workers never touch the image.
   std::vector<Line> frontier_lines(layout.nodes_at_level(frontier));
   for (std::uint64_t i = 0; i < frontier_lines.size(); ++i) {
     frontier_lines[i] = stored(NodeId{frontier, i});
   }
-  std::vector<std::vector<Line>> rebuilt(root_level + 1);
-  const auto node_value = [&](const NodeId& id) -> Line {
-    if (id.level == frontier) return frontier_lines[id.index];
-    CCNVM_CHECK_MSG(id.level > frontier, "bottom-up order violated");
-    return rebuilt[id.level][id.index];
-  };
-  for (std::uint32_t level = frontier + 1; level <= root_level; ++level) {
-    const std::uint64_t count = layout.nodes_at_level(level);
-    std::vector<Line>& cur = rebuilt[level];
-    cur.resize(count);
-    constexpr std::uint64_t kChunkNodes = 64;
-    const std::size_t chunks =
-        static_cast<std::size_t>((count + kChunkNodes - 1) / kChunkNodes);
-    parallel_for(chunks, in_.jobs, [&](std::size_t c) {
-      const std::uint64_t begin = static_cast<std::uint64_t>(c) * kChunkNodes;
-      const std::uint64_t end = std::min(begin + kChunkNodes, count);
-      std::vector<NodeId> ids;
-      ids.reserve(end - begin);
-      for (std::uint64_t i = begin; i < end; ++i) ids.push_back({level, i});
-      in_.merkle->compute_nodes(
-          ids, node_value,
-          {cur.data() + begin, static_cast<std::size_t>(end - begin)});
-    });
-  }
+  // rebuilt[level] for frontier < level < root_level, written in index
+  // order.
+  std::vector<std::vector<Line>> rebuilt(root_level);
+  const Line computed_root = in_.merkle->build_full_tree(
+      [&](const NodeId& id) { return frontier_lines[id.index]; },
+      [&](const NodeId& id, const Line& value) {
+        rebuilt[id.level].push_back(value);
+      },
+      in_.jobs, frontier);
   report.rebuild_hash_ops = rebuild_hash_ops_above(layout, frontier);
-  const Line computed_root = rebuilt[root_level].front();
   const bool root_matches = computed_root == in_.tcb.root_new;
 
   // ---- Verify the whole tree — stored nodes at and below the frontier,
@@ -426,16 +374,16 @@ RecoveryReport RecoveryManager::run_level_persisted(
   const auto bad = in_.merkle->find_inconsistencies(hybrid, in_.tcb.root_new);
 
   // ---- Data-HMAC scan against the persisted counters (they are current
-  // at every crash point — both designs persist the counter line on each
-  // write-back), catching spoofed/spliced/replayed data, DH and counter
-  // lines exactly as run_strict does.
+  // at every crash point — every frontier persists the counter line on
+  // each write-back), catching spoofed/spliced/replayed data, DH and
+  // counter lines.
   scan_persisted(report.tampered_blocks);
 
   if (root_matches && bad.empty() && report.tampered_blocks.empty()) {
     // Persist the rebuilt levels so the NVM image and the reinstalled
     // logical state agree above the frontier too.
     for (std::uint32_t level = frontier + 1; level < root_level; ++level) {
-      for (std::uint64_t i = 0; i < layout.nodes_at_level(level); ++i) {
+      for (std::uint64_t i = 0; i < rebuilt[level].size(); ++i) {
         in_.image->write_line(layout.node_addr(NodeId{level, i}),
                               rebuilt[level][i]);
       }
@@ -445,15 +393,15 @@ RecoveryReport RecoveryManager::run_level_persisted(
     report.recovered_root = computed_root;
     report.clean = true;
     report.detail =
-        phoenix ? "phoenix: persisted counter tree verified, nothing rebuilt"
-                : "triad: persisted frontier verified, upper levels rebuilt";
+        whole_tree
+            ? "persisted tree verified against ROOT_new, nothing rebuilt"
+            : "triad: persisted frontier verified, upper levels rebuilt";
     return report;
   }
 
   // ---- Localize: parent/child mismatches pin tampering inside the
   // persisted region; a divergence confined above the frontier only
-  // bounds the subtree — Triad's localization limit for its volatile
-  // levels.
+  // bounds the subtree — the localization limit of the volatile levels.
   for (const NodeId& id : bad) {
     report.replayed_nodes.push_back(id);
     if (id.level == 0) {
@@ -464,13 +412,16 @@ RecoveryReport RecoveryManager::run_level_persisted(
   report.attack_located =
       !report.tampered_blocks.empty() || !report.replayed_nodes.empty();
   if (report.attack_located) {
-    report.detail = phoenix ? "phoenix: tampered persisted metadata located"
-                            : "triad: tampering located against the "
-                              "persisted frontier";
+    report.detail = whole_tree ? "tampered persisted metadata located"
+                               : "triad: tampering located against the "
+                                 "persisted frontier";
   } else {
     report.data_dropped = true;
-    report.detail = "triad: divergence above the persisted frontier; "
-                    "subtree bounded but not locatable";
+    report.detail = whole_tree ? "ROOT_new diverges from a self-consistent "
+                                 "persisted tree; not locatable"
+                               : "triad: divergence above the persisted "
+                                 "frontier; subtree bounded but not "
+                                 "locatable";
   }
   return report;
 }

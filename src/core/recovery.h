@@ -22,19 +22,15 @@
 //   kOsiris — counters brute-forced the same way, tree rebuilt, and the
 //             rebuilt root compared with the TCB root: a mismatch detects
 //             an attack but cannot locate it, so all data is dropped.
-//   kStrict — metadata in NVM is always current; verification is direct:
-//             the tree against ROOT_new, then step 2's batched data scan
-//             with no forward search.
-//   kTriad  — Triad-NVM: counters and tree levels 1..persist_level are
-//             current in NVM; recovery rebuilds the unpersisted upper
-//             levels from the persisted frontier, checks the result
-//             against ROOT_new, and scans every data HMAC (the same
-//             batched scan as kStrict). A mismatch is
-//             localized by verifying the stored tree (counters + persisted
-//             levels + rebuilt levels) against ROOT_new.
-//   kPhoenix— Phoenix: every level is persisted in place, so recovery
-//             recomputes only the root for verification and rebuilds
-//             nothing.
+//   kBranchPersist — SC, Triad-N and Phoenix (baselines/branch_persist.h):
+//             counters and tree levels 1..persist_level are current in
+//             NVM. Recovery rebuilds the levels above that frontier from
+//             the persisted frontier (only the root, at the top frontier),
+//             checks the result against ROOT_new, and scans every data
+//             HMAC under its persisted counter (step 2's batched scan with
+//             no forward search). A mismatch is localized by verifying the
+//             stored tree (counters + persisted levels + rebuilt levels)
+//             against ROOT_new.
 //   kNone   — conventional secure memory: the root register is volatile,
 //             so after a crash nothing can be authenticated at all.
 #pragma once
@@ -58,7 +54,7 @@
 
 namespace ccnvm::core {
 
-enum class RecoveryMode { kNone, kStrict, kOsiris, kCcNvm, kTriad, kPhoenix };
+enum class RecoveryMode { kNone, kOsiris, kCcNvm, kBranchPersist };
 
 struct RecoveryReport {
   /// True when recovery finished with fresh, verified metadata and no
@@ -89,7 +85,8 @@ struct RecoveryReport {
   /// computed while rebuilding unpersisted levels (plus the root check),
   /// and internal node lines rewritten into the NVM image. Deterministic
   /// model quantities — the tradeoff bench derives recovery latency from
-  /// them. Phoenix rebuilds 0 nodes; Triad-N shrinks both as N grows.
+  /// them. The top frontier (SC, Phoenix) rebuilds 0 nodes; Triad-N shrinks
+  /// both as N grows.
   std::uint64_t rebuild_hash_ops = 0;
   std::uint64_t tree_nodes_rebuilt = 0;
   /// ECC-oracle evaluations performed (Osiris's "extra online checking").
@@ -126,8 +123,8 @@ struct RecoveryInputs {
   /// Worker count for the step-4 full-tree rebuild (1 = inline, 0 = auto).
   /// The rebuilt tree is bit-identical for any value.
   std::size_t jobs = 1;
-  /// kTriad: highest tree level persisted per write-back (clamped to the
-  /// internal levels; levels above it are rebuilt here).
+  /// kBranchPersist: highest tree level persisted per write-back (clamped
+  /// to the internal levels; levels above it are rebuilt here).
   std::uint32_t persist_level = 1;
 };
 
@@ -169,11 +166,9 @@ class RecoveryManager {
 
   RecoveryReport run_cc_nvm();
   RecoveryReport run_osiris();
-  RecoveryReport run_strict();
-  /// Shared Triad-NVM / Phoenix path: rebuild levels above the persisted
-  /// frontier, verify the root and every data HMAC, localize on mismatch.
-  RecoveryReport run_level_persisted(std::uint32_t persist_level,
-                                     bool phoenix);
+  /// kBranchPersist: rebuild the levels above the persisted frontier,
+  /// verify the root and every data HMAC, localize on mismatch.
+  RecoveryReport run_level_persisted();
 
   /// Step 2: brute-force every written block's counter forward against its
   /// data HMAC. The persisted counters (k = 0) go through scan_pages'
@@ -214,7 +209,7 @@ class RecoveryManager {
                   const crypto::PadCounter& cand,
                   std::uint64_t& ecc_checks) const;
 
-  /// The SC / Triad-N / Phoenix data scan: appends, in address order,
+  /// The kBranchPersist data scan: appends, in address order,
   /// every written block that does not verify under its persisted counter.
   void scan_persisted(std::vector<Addr>& tampered) const;
 

@@ -1,6 +1,7 @@
 #include "crashd/crashd.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -1120,6 +1121,16 @@ std::optional<Command> parse_command(const std::vector<std::string>& args,
     }
   }
   if (!sweep && cmd.image.empty()) return std::nullopt;
+  if (const std::string& dir = cmd.sweep.work_dir; !dir.empty()) {
+    // Checked here, before any worker exists: every worker would
+    // otherwise abort creating its image and be reported as a crash.
+    struct stat st {};
+    if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode) ||
+        ::access(dir.c_str(), W_OK | X_OK) != 0) {
+      error = "--dir=" + dir + " is not a writable directory";
+      return std::nullopt;
+    }
+  }
   std::optional<DesignPin> pin;
   error = resolve_pin(cmd.sweep.family, cmd.sweep.design, pin);
   if (!error.empty()) return std::nullopt;

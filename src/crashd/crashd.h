@@ -226,8 +226,9 @@ struct Command {
 /// prints usage — on an unknown subcommand, a malformed value, two
 /// family selectors, a flag the subcommand does not take (sweep takes no
 /// --image/--index; worker/verify take no --scenarios/--jobs/--dir/
-/// --keep and need --image), or an unusable --design; `error` then holds
-/// a reason when there is one beyond "bad usage".
+/// --keep and need --image), a --dir that is not a writable directory, or
+/// an unusable --design; `error` then holds a reason when there is one
+/// beyond "bad usage".
 std::optional<Command> parse_command(const std::vector<std::string>& args,
                                      std::string& error);
 

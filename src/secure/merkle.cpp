@@ -69,8 +69,10 @@ void MerkleEngine::compute_nodes(std::span<const NodeId> ids,
 }
 
 Line MerkleEngine::build_full_tree(const NodeReader& read,
-                                   const NodeWriter& write,
-                                   std::size_t jobs) const {
+                                   const NodeWriter& write, std::size_t jobs,
+                                   std::uint32_t start_level) const {
+  CCNVM_CHECK_MSG(start_level < layout_->root_level(),
+                  "build_full_tree: start level must lie below the root");
   // One flat vector per level: node {level, i} lives at prev[i] while the
   // next level up is computed, so each node is derived exactly once and
   // the nodes of a level — which only read the level below — can be
@@ -78,10 +80,11 @@ Line MerkleEngine::build_full_tree(const NodeReader& read,
   // index order after the level completes, so the writer sees the same
   // sequence for every `jobs` value.
   std::vector<Line> prev;
-  for (std::uint32_t level = 1; level <= layout_->root_level(); ++level) {
+  for (std::uint32_t level = start_level + 1; level <= layout_->root_level();
+       ++level) {
     const std::uint64_t count = layout_->nodes_at_level(level);
     const NodeReader reader = [&](const NodeId& id) -> Line {
-      if (id.level == 0) return read(id);
+      if (id.level == start_level) return read(id);
       CCNVM_CHECK_MSG(id.level == level - 1, "bottom-up order violated");
       return prev[id.index];
     };

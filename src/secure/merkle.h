@@ -55,10 +55,12 @@ class MerkleEngine {
   /// Root node id for this geometry.
   NodeId root_id() const { return {layout_->root_level(), 0}; }
 
-  /// Rebuilds the whole tree bottom-up from leaves. `read` must serve
-  /// level-0 reads (counter lines); every computed internal node is handed
+  /// Rebuilds the tree bottom-up from level `start_level`. `read` must
+  /// serve the reads of that level (level 0: counter lines; a higher level:
+  /// a stored frontier); every internal node computed above it is handed
   /// to `write` and also served back to further computation. Returns the
-  /// root line.
+  /// root line. For any start level the nodes written, and their order,
+  /// are those the full build writes above that level.
   ///
   /// Nodes within a level have no mutual dependencies, so each level is
   /// computed over the deterministic executor with `jobs` workers (1 =
@@ -67,7 +69,8 @@ class MerkleEngine {
   /// from the calling thread, and the result is bit-identical for any
   /// `jobs` value.
   Line build_full_tree(const NodeReader& read, const NodeWriter& write,
-                       std::size_t jobs = 1) const;
+                       std::size_t jobs = 1,
+                       std::uint32_t start_level = 0) const;
 
   /// Verifies the stored tree (served by `read`, including level 0 leaves
   /// and internal nodes) against `root`. Every internal node is recomputed

@@ -411,6 +411,7 @@ TEST(CrashdCommandTest, RejectsFlagsTheSubcommandDoesNotTake) {
       {"sweep", "--txn", "--design=phoenix"},
       {"worker", "--image=x", "--service", "--design=ccnvm"},
       {"sweep", "--design=triad-n4294967297"},
+      {"sweep", "--dir=/nonexistent-crashd-work-dir"},
       {"sweep", "--seed=-1"},
       {"sweep", "--bogus"},
       {"replay"},
@@ -424,15 +425,17 @@ TEST(CrashdCommandTest, RejectsFlagsTheSubcommandDoesNotTake) {
 }
 
 TEST(CrashdCommandTest, ParsesEveryFamilyAndPin) {
+  // --dir must name an existing directory.
+  const std::string dir = ::testing::TempDir();
   const auto sweep = parse({"sweep", "--txn", "--scenarios=16", "--seed=3",
-                            "--jobs=4", "--dir=/tmp/d", "--keep"});
+                            "--jobs=4", "--dir=" + dir, "--keep"});
   ASSERT_TRUE(sweep.has_value());
   EXPECT_EQ(sweep->sub, Command::Sub::kSweep);
   EXPECT_EQ(sweep->sweep.family, Family::kTxn);
   EXPECT_EQ(sweep->sweep.scenarios, 16u);
   EXPECT_EQ(sweep->sweep.seed, 3u);
   EXPECT_EQ(sweep->sweep.jobs, 4u);
-  EXPECT_EQ(sweep->sweep.work_dir, "/tmp/d");
+  EXPECT_EQ(sweep->sweep.work_dir, dir);
   EXPECT_TRUE(sweep->sweep.keep_files);
 
   const auto service =

@@ -3,6 +3,8 @@
 // traffic accounting, and runtime integrity auditing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "core/design.h"
 
@@ -231,6 +233,64 @@ TEST(DesignComparisonTest, BlockingCyclesOrderingMatchesPaper) {
   EXPECT_LT(busy[DesignKind::kCcNvm], busy[DesignKind::kStrict]);
   EXPECT_LT(busy[DesignKind::kCcNvm], busy[DesignKind::kOsirisPlus]);
   EXPECT_LT(busy[DesignKind::kCcNvm], busy[DesignKind::kCcNvmNoDs]);
+}
+
+TEST(DesignComparisonTest, BranchPersistPresetsShareImageAndTraffic) {
+  // SC, Triad-NVM with a frontier past the tree top, and Phoenix persist
+  // the same branch on every write-back: the same NVM image and the same
+  // traffic. Only Phoenix's overlapped WPQ transfer may shorten the engine
+  // occupancy. A small Meta Cache puts evictions and refetches in the
+  // trace too.
+  struct Outcome {
+    std::uint64_t image_digest = 0xcbf29ce484222325ULL;  // FNV-1a basis
+    nvm::TrafficStats traffic;
+    std::uint64_t busy = 0;
+  };
+  const auto run = [](DesignKind kind, std::uint32_t persist_level) {
+    DesignConfig cfg = small_config();
+    cfg.meta_cache_bytes = 16 * kLineSize;
+    cfg.meta_cache_ways = 4;
+    cfg.persist_level = persist_level;
+    auto design = make_design(kind, cfg);
+    Rng rng(11);
+    std::vector<Addr> written;
+    for (std::uint64_t i = 0; i < 600; ++i) {
+      if (!written.empty() && rng.chance(0.25)) {
+        EXPECT_TRUE(
+            design->read_block(written[rng.below(written.size())])
+                .integrity_ok);
+        continue;
+      }
+      const Addr addr =
+          rng.below(cfg.data_capacity / kLineSize) * kLineSize;
+      design->write_back(addr, pattern_line(i));
+      written.push_back(addr);
+    }
+    Outcome out;
+    const nvm::NvmLayout& layout = design->layout();
+    for (Addr a = 0; a < layout.total_bytes(); a += kLineSize) {
+      for (const std::uint8_t b : design->image().read_line(a)) {
+        out.image_digest = (out.image_digest ^ b) * 0x100000001b3ULL;
+      }
+    }
+    out.traffic = design->traffic();
+    out.busy = design->stats().engine_busy_cycles;
+    return out;
+  };
+  const Outcome sc = run(DesignKind::kStrict, 1);
+  const Outcome triad = run(DesignKind::kTriadNvm, 64);
+  const Outcome phoenix = run(DesignKind::kPhoenix, 1);
+  for (const Outcome* o : {&triad, &phoenix}) {
+    EXPECT_EQ(o->image_digest, sc.image_digest);
+    EXPECT_EQ(o->traffic.data_writes, sc.traffic.data_writes);
+    EXPECT_EQ(o->traffic.counter_writes, sc.traffic.counter_writes);
+    EXPECT_EQ(o->traffic.mt_writes, sc.traffic.mt_writes);
+    EXPECT_EQ(o->traffic.dh_writes, sc.traffic.dh_writes);
+    EXPECT_EQ(o->traffic.reads, sc.traffic.reads);
+  }
+  EXPECT_GT(sc.traffic.mt_writes, 0u);
+  EXPECT_EQ(triad.busy, sc.busy);
+  EXPECT_LE(phoenix.busy, sc.busy);
 }
 
 }  // namespace

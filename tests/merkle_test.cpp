@@ -207,5 +207,55 @@ TEST_P(MerkleParallelBuildTest, MatchesSequentialBuild) {
 INSTANTIATE_TEST_SUITE_P(Jobs, MerkleParallelBuildTest,
                          ::testing::Values(0, 1, 2, 7));
 
+// A build started from a stored frontier level (recovery's rebuild above a
+// branch-persist frontier) equals the full build: the same root, and the
+// same nodes written in the same order as the full build writes above
+// that level.
+TEST(MerkleFrontierBuildTest, MatchesFullBuildAboveTheFrontier) {
+  const NvmLayout layout(1ull << 20);  // 256 pages -> root level 4
+  const MerkleEngine engine(crypto::HmacKey::from_seed(9), layout);
+  Rng rng(5);
+  std::vector<Line> leaves(layout.num_pages());
+  for (Line& l : leaves) {
+    for (auto& b : l) b = static_cast<std::uint8_t>(rng.next());
+  }
+  std::map<NodeId, Line> full_nodes;
+  std::vector<NodeId> full_order;
+  const Line full_root = engine.build_full_tree(
+      [&](const NodeId& id) { return leaves[id.index]; },
+      [&](const NodeId& id, const Line& v) {
+        full_nodes[id] = v;
+        full_order.push_back(id);
+      });
+
+  for (const std::size_t jobs : {1, 4}) {
+    for (std::uint32_t start = 1; start < layout.root_level(); ++start) {
+      std::map<NodeId, Line> nodes;
+      std::vector<NodeId> order;
+      const Line root = engine.build_full_tree(
+          [&](const NodeId& id) {
+            EXPECT_EQ(id.level, start) << "reads only the frontier";
+            return full_nodes.at(id);
+          },
+          [&](const NodeId& id, const Line& v) {
+            nodes[id] = v;
+            order.push_back(id);
+          },
+          jobs, start);
+
+      std::map<NodeId, Line> want_nodes;
+      std::vector<NodeId> want_order;
+      for (const NodeId& id : full_order) {
+        if (id.level <= start) continue;
+        want_nodes[id] = full_nodes.at(id);
+        want_order.push_back(id);
+      }
+      EXPECT_EQ(root, full_root) << "start " << start << ", jobs " << jobs;
+      EXPECT_EQ(nodes, want_nodes) << "start " << start << ", jobs " << jobs;
+      EXPECT_EQ(order, want_order) << "start " << start << ", jobs " << jobs;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ccnvm::secure
